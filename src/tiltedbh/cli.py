@@ -239,7 +239,7 @@ def _cmd_quench(args) -> int:
                     fh.write(f"# {key}={val}\n")
                 fh.write("time,analytic\n")
                 for t, v in zip(grid.points, curve):
-                    fh.write(f"{t!r},{v!r}\n")
+                    fh.write(f"{float(t)!r},{float(v)!r}\n")
             summary["analytic_eta"] = inputs.eta
             summary["analytic_mean_dos"] = inputs.mean_dos
         _write_json(out / "survival_summary.json", summary, meta)

@@ -30,6 +30,7 @@ __all__ = [
     "half_chain_imbalance",
     "left_half_site_count",
     "imbalance_diagonal",
+    "occupation_onehot",
     "occupation_distributions",
     "entropy_from_distributions",
     "central_window_average",
@@ -114,6 +115,18 @@ def half_chain_imbalance(state, basis: FockBasis) -> float:
     return float(p @ imbalance_diagonal(basis))
 
 
+def occupation_onehot(basis: FockBasis) -> np.ndarray:
+    """Indicator matrix of shape (M*(N+1), dim): row i*(N+1) + n marks the
+    basis states with n bosons on site i, so ``p @ onehot.T`` sums Fock
+    probabilities into site-occupation distributions."""
+    m, nmax = basis.n_sites, basis.n_bosons
+    onehot = np.zeros((m * (nmax + 1), basis.dim))
+    cols = np.arange(basis.dim)
+    for i in range(m):
+        onehot[i * (nmax + 1) + basis.states[:, i], cols] = 1.0
+    return onehot
+
+
 def occupation_distributions(probabilities, basis: FockBasis) -> np.ndarray:
     """Site-occupation distributions p[..., i, n] from Fock-basis probabilities.
 
@@ -121,13 +134,8 @@ def occupation_distributions(probabilities, basis: FockBasis) -> np.ndarray:
     (..., M, N+1) and each (i, :) slice sums to 1.
     """
     p = np.atleast_2d(np.asarray(probabilities, dtype=np.float64))
-    m, nmax = basis.n_sites, basis.n_bosons
-    onehot = np.zeros((m * (nmax + 1), basis.dim))
-    for i in range(m):
-        occ = basis.states[:, i]
-        onehot[i * (nmax + 1) + occ, np.arange(basis.dim)] = 1.0
-    dist = p @ onehot.T
-    dist = dist.reshape(p.shape[:-1] + (m, nmax + 1))
+    dist = p @ occupation_onehot(basis).T
+    dist = dist.reshape(p.shape[:-1] + (basis.n_sites, basis.n_bosons + 1))
     if np.ndim(probabilities) == 1:
         return dist[0]
     return dist

@@ -7,11 +7,21 @@ Time evolution is exact up to eigensolve accuracy: an initial Fock state
 
     S_P(t) = |sum_m |c_m|^2 exp(-i E_m t)|^2 .
 
-Observable traces reconstruct |Psi(t)> in the Fock basis per grid time via
-matrix products against the eigenvector matrix, batched over the whole
-initial-state ensemble.  The long-time average of S_P equals the inverse
-participation ratio IPR = sum_m |c_m|^4; the correlation hole is the dip
-below that plateau at intermediate times, with depth |1/S_Pmin - 1/IPR|.
+The long-time average of S_P equals the inverse participation ratio
+IPR = sum_m |c_m|^4; the correlation hole is the dip below that plateau at
+intermediate times, with depth |1/S_Pmin - 1/IPR|.
+
+Observable traces need the Fock-basis probabilities of the evolved states,
+|sum_m V[j, m] c_m exp(-i E_m t)|^2.  They are evaluated in blocks of grid
+times: the rows c cos(E t) and c sin(E t) of every ensemble state at every
+time of a block are stacked into one matrix and multiplied by V^T in a
+single GEMM, so the eigenvector matrix is streamed once per block rather
+than twice per time.  The block length is set by a fixed budget of 16 MiB
+for each of the two work buffers (the stacked rows and their product),
+which are allocated once per trace and reused by every block.  Beyond the
+eigenvectors and the ensemble coefficients a trace therefore holds two
+16 MiB buffers; only an ensemble whose rows for a single time exceed the
+budget makes them larger, one time point each.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from .diagnostics import (
     NotNormalizedError,
     entropy_from_distributions,
     imbalance_diagonal,
-    occupation_distributions,
+    occupation_onehot,
 )
 from .rmt import b2_form_factor
 from .spectrum import DegenerateSpectrumError, SpectralData
@@ -60,6 +70,10 @@ __all__ = [
 DEFAULT_SMOOTHING_WINDOW = 9
 DEFAULT_HOLE_WINDOW = (20.0, 1.0e3)
 RELAXATION_TAIL_POINTS = 10
+
+# Size of each of the two work buffers of observable_trace; it fixes how
+# many grid times share one pass over the eigenvector matrix.
+_TRACE_BUFFER_BYTES = 16 * 2 ** 20
 
 
 class MissingEigenvectorsError(ValueError):
@@ -228,6 +242,9 @@ def observable_trace(ensemble_indices, spectral: SpectralData,
 
     Both observables are diagonal in the occupation basis, so only the
     Fock-basis probabilities |<k|Psi(t)>|^2 of the evolved states enter.
+    Grid times are evaluated in blocks: the real and imaginary coefficient
+    rows of every state at every time of a block are stacked into one input
+    and multiplied against the eigenvector matrix in a single GEMM.
     """
     if observable not in ("entropy", "imbalance"):
         raise ValueError(f"unknown observable {observable!r}")
@@ -235,22 +252,39 @@ def observable_trace(ensemble_indices, spectral: SpectralData,
         raise MissingEigenvectorsError("evolution requires eigenvectors")
     basis = spectral.basis
     coeff = ensemble_amplitudes(ensemble_indices, spectral)
-    n_states = coeff.shape[0]
+    n_states, dim = coeff.shape
     energies = spectral.eigenvalues
     vt = spectral.eigenvectors.T
-    imb_diag = imbalance_diagonal(basis) if observable == "imbalance" else None
+    if observable == "imbalance":
+        reducer = imbalance_diagonal(basis)
+    else:
+        reducer = occupation_onehot(basis).T
     times = time_grid.points
+    bytes_per_time = 2 * max(n_states, 1) * dim * coeff.itemsize
+    block = min(times.size, max(1, _TRACE_BUFFER_BYTES // bytes_per_time))
+    stacked = np.empty((2 * block * n_states, dim))
+    evolved = np.empty_like(stacked)
     values = np.empty((n_states, times.size))
-    for ti, t in enumerate(times):
-        phase = energies * t
-        psi_re = (coeff * np.cos(phase)) @ vt
-        psi_im = (coeff * np.sin(phase)) @ vt
-        probs = psi_re ** 2 + psi_im ** 2
+    for start in range(0, times.size, block):
+        t = times[start:start + block]
+        half = t.size * n_states
+        rows = stacked[:2 * half]
+        phase = np.multiply.outer(t, energies)
+        np.multiply(coeff, np.cos(phase)[:, None, :],
+                    out=rows[:half].reshape(t.size, n_states, dim))
+        np.multiply(coeff, np.sin(phase)[:, None, :],
+                    out=rows[half:].reshape(t.size, n_states, dim))
+        psi = np.matmul(rows, vt, out=evolved[:2 * half])
+        np.square(psi, out=psi)
+        probs = np.add(psi[:half], psi[half:], out=psi[:half])
+        reduced = probs @ reducer
         if observable == "imbalance":
-            values[:, ti] = probs @ imb_diag
+            block_values = reduced.reshape(t.size, n_states)
         else:
-            dist = occupation_distributions(probs, basis)
-            values[:, ti] = entropy_from_distributions(dist).mean(axis=-1)
+            dist = reduced.reshape(t.size, n_states, basis.n_sites,
+                                   basis.n_bosons + 1)
+            block_values = entropy_from_distributions(dist).mean(axis=-1)
+        values[:, start:start + t.size] = block_values.T
     return QuenchTrace.from_values(time_grid, values, observable, smoothing_window)
 
 
@@ -423,4 +457,4 @@ def write_trace_csv(path, trace: QuenchTrace,
         fh.write("time,raw_mean,smoothed_mean\n")
         for t, raw, smooth in zip(trace.time_grid.points, trace.ensemble_mean,
                                   trace.smoothed_mean):
-            fh.write(f"{t!r},{raw!r},{smooth!r}\n")
+            fh.write(f"{float(t)!r},{float(raw)!r},{float(smooth)!r}\n")

@@ -15,7 +15,9 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -312,18 +314,20 @@ def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None,
     """Diagonalize, reusing an on-disk eigendata store when one is configured.
 
     Cache entries are keyed by (N, M, U, D) so repeated diagnostics at the
-    same point skip the eigensolve.
+    same point skip the eigensolve.  A value-only request is also served
+    from an entry that holds eigenvectors.
     """
     cdir = resolve_cache_dir(cache_dir)
     if cdir is not None:
-        tag = "vec" if with_vectors else "val"
-        name = (f"eig_{basis.n_bosons}x{basis.n_sites}"
-                f"_u{params.u:.12g}_d{params.d:.12g}_{tag}.npz")
-        path = cdir / name
-        if path.exists():
-            data = np.load(path)
-            vecs = data["eigenvectors"] if with_vectors else None
-            return spectrum.SpectralData(basis, params, data["eigenvalues"], vecs)
+        stem = (f"eig_{basis.n_bosons}x{basis.n_sites}"
+                f"_u{params.u:.12g}_d{params.d:.12g}")
+        path = cdir / f"{stem}_{'vec' if with_vectors else 'val'}.npz"
+        for entry in (path, cdir / f"{stem}_vec.npz"):
+            if entry.exists():
+                with np.load(entry) as data:
+                    vecs = data["eigenvectors"] if with_vectors else None
+                    return spectrum.SpectralData(
+                        basis, params, data["eigenvalues"], vecs)
     h = hamiltonian.build(basis, params)
     spec = spectrum.diagonalize(
         h, with_vectors, value_limit=value_limit, vector_limit=vector_limit)
@@ -580,6 +584,36 @@ def _write_artifacts(out_dir: Path, artifacts: list, metadata: dict) -> None:
             path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@contextmanager
+def _worker_pool(workers: int, calls: list):
+    """Run ``(fn, *args)`` calls on a pool of spawned processes; yields the
+    futures in call order.
+
+    Each worker gets ``cpu_count // workers`` BLAS threads (at least one),
+    so the pools of all workers together do not oversubscribe the cores.
+    BLAS reads its thread count from the environment when numpy is first
+    imported, which a spawned worker does after it starts; ``submit``
+    starts the workers, so the variables are set only while submitting and
+    the parent's environment is restored afterwards.
+    """
+    threads = str(max(1, (os.cpu_count() or 1) // workers))
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        try:
+            os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, threads))
+            futures = [pool.submit(*call) for call in calls]
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
+        yield futures
+
+
 def _run_points(config: SweepConfig, out_dir, points, diags,
                 resume: bool) -> list:
     out = Path(out_dir)
@@ -597,11 +631,10 @@ def _run_points(config: SweepConfig, out_dir, points, diags,
             _write_artifacts(out, artifacts, metadata)
             records.append(record)
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {
-                pool.submit(_compute_point, config, *point, tuple(diags)): point
-                for point in pending
-            }
+        calls = [(_compute_point, config, *point, tuple(diags))
+                 for point in pending]
+        with _worker_pool(config.workers, calls) as submitted:
+            futures = dict(zip(submitted, pending))
             for fut in as_completed(futures):
                 point = futures[fut]
                 record, artifacts = fut.result()

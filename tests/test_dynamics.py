@@ -27,6 +27,8 @@ from tiltedbh import (
     survival_probability,
     survival_trace,
 )
+from tiltedbh import dynamics
+from tiltedbh.diagnostics import imbalance_diagonal, single_site_entropy
 from tiltedbh.dynamics import (
     MissingEigenvectorsError,
     TimeGrid,
@@ -148,6 +150,50 @@ def test_observable_traces_start_exactly_at_initial_values(chaotic_44):
     assert np.abs(ent.values[:, 0]).max() < 1e-12
     with pytest.raises(ValueError):
         observable_trace(ens.indices, spec, grid, "magnetization")
+
+
+def _per_time_oracle(indices, spec, times, observable):
+    """Trace values from the Fock amplitudes at one grid time after another;
+    entropies from the per-site occupation counts of each evolved state."""
+    basis = spec.basis
+    coeff = ensemble_amplitudes(indices, spec)
+    values = np.empty((coeff.shape[0], times.size))
+    for ti, t in enumerate(times):
+        psi = fock_amplitudes_at(coeff, spec, t)
+        if observable == "imbalance":
+            values[:, ti] = np.abs(psi) ** 2 @ imbalance_diagonal(basis)
+        else:
+            values[:, ti] = [
+                np.mean([single_site_entropy(row, basis, site)
+                         for site in range(basis.n_sites)])
+                for row in psi]
+    return values
+
+
+@pytest.fixture(scope="module", params=[(4, 4), (5, 5)], ids=["4x4", "5x5"])
+def small_chain(request):
+    n, m = request.param
+    return diagonalize(build(FockBasis(n, m), ModelParams(u=0.5, d=0.5)))
+
+
+@pytest.mark.parametrize("observable", ["entropy", "imbalance"])
+@pytest.mark.parametrize("n_states", [1, 6])
+@pytest.mark.parametrize("block", [None, 4, 1], ids=["one-block", "4", "1"])
+def test_observable_trace_matches_per_time_oracle(small_chain, observable,
+                                                  n_states, block,
+                                                  monkeypatch):
+    # 11 grid times: a single block under the default buffer budget, blocks
+    # of 4, 4 and 3 times, or one time per block
+    spec = small_chain
+    if block is not None:
+        monkeypatch.setattr(dynamics, "_TRACE_BUFFER_BYTES",
+                            block * 2 * n_states * spec.dim * 8)
+    indices = np.linspace(0, spec.dim - 1, n_states).astype(int)
+    grid = log_time_grid(0.05, 500.0, 11)
+    trace = observable_trace(indices, spec, grid, observable)
+    oracle = _per_time_oracle(indices, spec, grid.points, observable)
+    assert trace.values.shape == (n_states, 11)
+    assert np.abs(trace.values - oracle).max() < 1e-12
 
 
 def test_norm_and_energy_conserved_under_evolution(chaotic_44):
@@ -328,10 +374,17 @@ def test_b2_is_used_inside_curve():
 
 def test_write_trace_csv(tmp_path):
     grid = linear_time_grid(0.0, 1.0, 5)
-    trace = QuenchTrace.from_values(grid, np.ones((2, 5)), "survival")
+    values = np.array([[1.0, 0.9, 0.7, 0.1, 0.3], [1.0, 0.8, 0.5, 0.2, 0.3]])
+    trace = QuenchTrace.from_values(grid, values, "survival", 3)
     path = tmp_path / "trace.csv"
     write_trace_csv(path, trace, {"config_hash": "y"})
     lines = path.read_text().splitlines()
     assert lines[0] == "# config_hash=y"
     assert lines[1] == "time,raw_mean,smoothed_mean"
     assert len(lines) == 7
+    assert lines[2].startswith("0.0,1.0,")
+    assert "np." not in path.read_text()
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[2:]]
+    expected = np.column_stack(
+        [grid.points, trace.ensemble_mean, trace.smoothed_mean])
+    assert np.array_equal(np.array(rows), expected)

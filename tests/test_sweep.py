@@ -1,12 +1,15 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from tiltedbh import SweepConfig, run_chaos_map, run_cut, validate_and_echo_config
+from tiltedbh import spectrum
 from tiltedbh.sweep import (
     ConfigError,
     RESULT_COLUMNS,
+    _worker_pool,
     cached_diagonalize,
     exit_code_for,
 )
@@ -201,3 +204,32 @@ def test_eigendata_cache_roundtrip(tmp_path):
     stats_direct = mean_gap_ratio(direct.eigenvalues)
     stats_cached = mean_gap_ratio(second.eigenvalues)
     assert stats_direct == stats_cached
+
+
+def test_workers_get_a_share_of_blas_threads_without_touching_parent_env(
+        monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    calls = [(os.getenv, "OPENBLAS_NUM_THREADS"), (os.getenv, "OMP_NUM_THREADS")]
+    with _worker_pool(2, calls) as futures:
+        seen = [fut.result() for fut in futures]
+    share = str(max(1, os.cpu_count() // 2))
+    assert seen == [share, share]
+    assert dict(os.environ) == before
+
+
+def test_value_request_served_from_vector_entry(tmp_path, monkeypatch):
+    basis = FockBasis(3, 3)
+    params = ModelParams(u=0.7, d=0.3)
+    full = cached_diagonalize(basis, params, True, cache_dir=tmp_path)
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve despite a cached vector entry")
+
+    monkeypatch.setattr(spectrum, "diagonalize", no_eigensolve)
+    values = cached_diagonalize(basis, params, False, cache_dir=tmp_path)
+    assert np.array_equal(values.eigenvalues, full.eigenvalues)
+    assert not values.has_vectors
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "eig_3x3_u0.7_d0.3_vec.npz"]
