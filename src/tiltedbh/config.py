@@ -1,0 +1,293 @@
+"""The one config schema.
+
+``SweepConfig`` holds every setting of a run: each field carries its
+default, the conversion of a raw JSON value and the rule the value must
+meet, so ``from_dict`` fills, converts and validates a whole config from
+the field definitions alone.  A point config (``n_bosons``, ``n_sites``,
+``u``, ``d`` plus the command's own keys) becomes a one-point
+``SweepConfig``.  Unknown keys and invalid values raise ``ConfigError``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
+
+from . import dynamics, spectrum
+from ._version import __version__
+from .tables import write_json
+
+__all__ = [
+    "ConfigError",
+    "SweepConfig",
+    "ALLOWED_DIAGNOSTICS",
+    "OBSERVABLES",
+    "output_metadata",
+    "load_config",
+    "validate_and_echo_config",
+    "point_config",
+    "basis_config",
+]
+
+ALLOWED_DIAGNOSTICS = (
+    "gap_ratio",
+    "pr",
+    "entropy",
+    "imbalance",
+    "survival",
+    "entropy_dynamics",
+    "imbalance_dynamics",
+)
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def _setting(default, convert=None, ok=None, rule="", required=False):
+    """A SweepConfig field: its default, the conversion of a raw config
+    value, and the condition ``ok`` the converted value must meet, which
+    ``rule`` states in error messages.  A required field has no usable
+    default and must be given non-empty."""
+    meta = {"convert": convert, "ok": ok, "rule": rule, "required": required}
+    if isinstance(default, (list, tuple)):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _each(convert, ok, rule):
+    def parse(values):
+        out = [convert(v) for v in values]
+        for i, value in enumerate(out):
+            if not ok(value):
+                raise ValueError(f"entry {i}: {rule}")
+        return out
+    return parse
+
+
+def _size_pair(pair) -> list:
+    try:
+        n, m = int(pair[0]), int(pair[1])
+    except (TypeError, ValueError, IndexError):
+        raise ValueError("expected a [N, M] pair") from None
+    if n < 1 or m < 1:
+        raise ValueError("N and M must be >= 1")
+    return [n, m]
+
+
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+
+
+@dataclass
+class SweepConfig:
+    """Every setting of a run, with its default and its validation.
+
+    Energies (``u_values``, ``d_values``, ``reference_u``, ``reference_d``)
+    are stored in units of the hopping, so ``j`` is 1 after ``from_dict``.
+    """
+
+    system_sizes: list = _setting([], lambda v: [_size_pair(p) for p in v],
+                                  required=True)
+    u_values: list = _setting([], _each(float, *_NON_NEGATIVE), required=True)
+    d_values: list = _setting([], _each(float, *_NON_NEGATIVE), required=True)
+    diagnostics: list = _setting(
+        [], _each(str, ALLOWED_DIAGNOSTICS.__contains__,
+                  f"not one of {ALLOWED_DIAGNOSTICS}"), required=True)
+    j: float = _setting(1.0, float, *_POSITIVE)
+    seed: int = _setting(0, int)
+    workers: int = _setting(1, int, *_AT_LEAST_ONE)
+    edge_discard: float = _setting(0.1, float, lambda v: 0 <= v < 0.5,
+                                   "must lie in [0, 0.5)")
+    central_window: float = _setting(0.8, float, lambda v: 0 < v <= 1,
+                                     "must lie in (0, 1]")
+    goe_reference: float = _setting(spectrum.R_GOE, float)
+    occupation_cap: int = _setting(3, int, *_AT_LEAST_ONE)
+    window_halfwidth: float = _setting(0.4, float, *_POSITIVE)
+    reference_u: float = _setting(0.5, float, *_NON_NEGATIVE)
+    reference_d: float = _setting(0.8, float, *_NON_NEGATIVE)
+    survival_sample_count: int = _setting(200, int, *_AT_LEAST_ONE)
+    entropy_sample_count: int = _setting(50, int, *_AT_LEAST_ONE)
+    imbalance_max_states: int | None = _setting(
+        None, _optional(int), lambda v: v is None or v >= 1,
+        "must be >= 1 when set")
+    time_min: float = _setting(0.1, float, *_POSITIVE)
+    time_max: float = _setting(1.0e4, float)
+    time_points: int = _setting(400, int, *_AT_LEAST_ONE)
+    time_points_observables: int = _setting(400, int, *_AT_LEAST_ONE)
+    time_max_observables: float | None = _setting(None, _optional(float))
+    smoothing_window: int = _setting(
+        dynamics.DEFAULT_SMOOTHING_WINDOW, int,
+        lambda v: v >= 1 and v % 2 == 1, "must be odd and >= 1")
+    hole_window: list = _setting(
+        dynamics.DEFAULT_HOLE_WINDOW, lambda v: [float(x) for x in v],
+        lambda v: len(v) == 2 and 0 < v[0] < v[1],
+        "expected [lo, hi] with 0 < lo < hi")
+    save_traces: bool = _setting(False, bool)
+    save_eigenstate_profiles: bool = _setting(False, bool)
+    eigenvalue_limit: int = _setting(spectrum.DENSE_EIGENVALUE_LIMIT, int)
+    eigenvector_limit: int = _setting(spectrum.DENSE_EIGENVECTOR_LIMIT, int)
+    cache_dir: str | None = _setting(None)
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "SweepConfig":
+        """Fill defaults, validate every field, normalize energies to j = 1."""
+        defaults = cls()
+        values = {}
+        for key in raw:
+            if key not in defaults.__dataclass_fields__:
+                raise ConfigError(f"{key}: unknown configuration field")
+        for spec in fields(cls):
+            name, meta = spec.name, spec.metadata
+            value = raw.get(name, getattr(defaults, name))
+            if meta["required"] and value in (None, []):
+                raise ConfigError(f"{name}: required and must be non-empty")
+            try:
+                if meta["convert"] is not None:
+                    value = meta["convert"](value)
+                ok = meta["ok"] is None or meta["ok"](value)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"{name}: {err}") from None
+            if not ok:
+                raise ConfigError(f"{name}: {meta['rule']}")
+            values[name] = value
+
+        if values["time_min"] >= values["time_max"]:
+            raise ConfigError("time_min/time_max: need 0 < time_min < time_max")
+        if values["time_max_observables"] is not None and \
+                values["time_max_observables"] <= values["time_min"]:
+            raise ConfigError("time_max_observables: must exceed time_min")
+        j = values["j"]
+        values.update(
+            j=1.0,
+            u_values=[v / j for v in values["u_values"]],
+            d_values=[v / j for v in values["d_values"]],
+            reference_u=values["reference_u"] / j,
+            reference_d=values["reference_d"] / j,
+        )
+        return cls(**values)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @property
+    def config_hash(self) -> str:
+        return self.metadata()["config_hash"]
+
+    def metadata(self, extra: dict | None = None) -> dict:
+        """``output_metadata`` of this config; ``extra`` holds settings
+        outside the schema that also enter the hash."""
+        return output_metadata({**self.to_dict(), **(extra or {})}, self.seed)
+
+    def echo(self, out_dir) -> None:
+        """Write the normalized config, which ``from_dict`` maps to itself."""
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_json(out / "config_normalized.json", self.to_dict(),
+                   self.metadata())
+
+
+def output_metadata(settings: dict, seed: int) -> dict:
+    """Config hash, seed and package version, stamped on every output."""
+    canon = json.dumps(settings, sort_keys=True)
+    return {
+        "config_hash": hashlib.sha256(canon.encode()).hexdigest()[:12],
+        "seed": seed,
+        "version": __version__,
+    }
+
+
+def load_config(path) -> dict:
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as err:
+        raise ConfigError(f"cannot read config {path}: {err}") from err
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path}: expected a JSON object")
+    return raw
+
+
+def validate_and_echo_config(config_file, out_dir) -> SweepConfig:
+    """Load a JSON config, validate it, and echo the normalized form."""
+    config = SweepConfig.from_dict(load_config(config_file))
+    config.echo(out_dir)
+    return config
+
+
+# -- point configs -------------------------------------------------------------
+
+
+# quench observable -> sweep diagnostic
+OBSERVABLES = {"survival": "survival", "entropy": "entropy_dynamics",
+               "imbalance": "imbalance_dynamics"}
+
+# the keys each point command reads besides its point and the sweep fields,
+# with their defaults
+_COMMAND_KEYS = {
+    "basis": {"write_states": True},
+    "spectrum": {"export_matrix": False},
+    "eigenstates": {},
+    "quench": {"observables": list(OBSERVABLES), "include_analytic": True},
+}
+
+
+def _command_keys(raw: dict, command: str) -> dict:
+    """Remove the command's own keys from ``raw``; return them validated."""
+    own = {key: raw.pop(key, default)
+           for key, default in _COMMAND_KEYS[command].items()}
+    for key in own.keys() - {"observables"}:
+        own[key] = bool(own[key])
+    if "observables" in own:
+        own["observables"] = list(own["observables"])
+        for name in own["observables"]:
+            if name not in OBSERVABLES:
+                raise ConfigError(f"observables: unknown entry {name!r}")
+    return own
+
+
+def _required(raw: dict, keys) -> list:
+    for key in keys:
+        if key not in raw:
+            raise ConfigError(f"{key}: required field missing")
+    return [raw.pop(key) for key in keys]
+
+
+def basis_config(raw: dict) -> tuple[int, int, dict]:
+    """(N, M, own keys) of a ``basis`` config."""
+    raw = dict(raw)
+    own = _command_keys(raw, "basis")
+    try:
+        n, m = _size_pair(_required(raw, ("n_bosons", "n_sites")))
+    except ValueError as err:
+        raise ConfigError(f"n_bosons/n_sites: {err}") from None
+    if raw:
+        raise ConfigError(f"{next(iter(raw))}: unknown configuration field")
+    return n, m, own
+
+
+def point_config(raw: dict, command: str,
+                 overrides: dict | None = None) -> tuple[SweepConfig, dict]:
+    """A point config as a one-point SweepConfig, plus the command's own
+    keys.  Unknown keys and invalid values raise ConfigError."""
+    raw = dict(raw)
+    own = _command_keys(raw, command)
+    n, m, u, d = _required(raw, ("n_bosons", "n_sites", "u", "d"))
+    for key in ("system_sizes", "u_values", "d_values", "diagnostics"):
+        if key in raw:  # the point keys set these
+            raise ConfigError(f"{key}: unknown configuration field")
+    if command == "spectrum":
+        diagnostics = ["gap_ratio"]
+    elif command == "eigenstates":
+        diagnostics = ["pr", "entropy", "imbalance"]
+    else:
+        diagnostics = [OBSERVABLES[name] for name in own["observables"]]
+    raw.update(system_sizes=[[n, m]], u_values=[u], d_values=[d],
+               diagnostics=diagnostics, **(overrides or {}))
+    return SweepConfig.from_dict(raw), own

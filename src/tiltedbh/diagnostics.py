@@ -19,6 +19,7 @@ from scipy.special import xlogy
 
 from .basis import FockBasis
 from .spectrum import SpectralData
+from .tables import write_table
 
 __all__ = [
     "NotNormalizedError",
@@ -216,16 +217,10 @@ def write_eigenstate_csv(path, eigenvalues, diag: EigenstateDiagnostics,
     from .spectrum import normalized_energies
 
     eps = normalized_energies(eigenvalues)
-    m = diag.site_entropy.shape[1]
-    site_cols = ",".join(f"s_site_{i + 1}" for i in range(m))
-    with open(path, "w") as fh:
-        for key, val in (metadata or {}).items():
-            fh.write(f"# {key}={val}\n")
-        fh.write(f"index,energy,normalized_energy,pr,{site_cols},s_avg,imbalance\n")
-        for i in range(len(eigenvalues)):
-            sites = ",".join(repr(float(x)) for x in diag.site_entropy[i])
-            fh.write(
-                f"{i},{float(eigenvalues[i])!r},{float(eps[i])!r},"
-                f"{float(diag.participation[i])!r},{sites},"
-                f"{float(diag.entropy_mean[i])!r},{float(diag.imbalance[i])!r}\n"
-            )
+    sites = [f"s_site_{i + 1}" for i in range(diag.site_entropy.shape[1])]
+    columns = ["index", "energy", "normalized_energy", "pr", *sites,
+               "s_avg", "imbalance"]
+    rows = ((i, eigenvalues[i], eps[i], diag.participation[i],
+             *diag.site_entropy[i], diag.entropy_mean[i], diag.imbalance[i])
+            for i in range(len(eigenvalues)))
+    write_table(path, columns, rows, metadata)

@@ -40,6 +40,7 @@ from .diagnostics import (
 )
 from .rmt import b2_form_factor
 from .spectrum import DegenerateSpectrumError, SpectralData
+from .tables import write_table
 
 __all__ = [
     "TimeGrid",
@@ -173,9 +174,12 @@ def moving_average(series, window_points: int) -> np.ndarray:
     x = np.asarray(series, dtype=np.float64)
     if window_points == 1:
         return x.copy()
+    # "full" convolution sliced to the series: mode="same" would return
+    # window_points values for a series shorter than the window
     kernel = np.ones(window_points)
-    sums = np.convolve(x, kernel, mode="same")
-    counts = np.convolve(np.ones_like(x), kernel, mode="same")
+    center = slice(window_points // 2, window_points // 2 + x.size)
+    sums = np.convolve(x, kernel, mode="full")[center]
+    counts = np.convolve(np.ones_like(x), kernel, mode="full")[center]
     return sums / counts
 
 
@@ -451,10 +455,6 @@ def analytic_survival_curve(inputs: AnalyticCurveInputs, times) -> np.ndarray:
 def write_trace_csv(path, trace: QuenchTrace,
                     metadata: dict | None = None) -> None:
     """CSV with columns (time, raw_mean, smoothed_mean)."""
-    with open(path, "w") as fh:
-        for key, val in (metadata or {}).items():
-            fh.write(f"# {key}={val}\n")
-        fh.write("time,raw_mean,smoothed_mean\n")
-        for t, raw, smooth in zip(trace.time_grid.points, trace.ensemble_mean,
-                                  trace.smoothed_mean):
-            fh.write(f"{float(t)!r},{float(raw)!r},{float(smooth)!r}\n")
+    write_table(path, ["time", "raw_mean", "smoothed_mean"],
+                zip(trace.time_grid.points, trace.ensemble_mean,
+                    trace.smoothed_mean), metadata)

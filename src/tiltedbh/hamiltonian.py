@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import FockBasis
+from .tables import write_table
 
 __all__ = [
     "ModelParams",
@@ -106,15 +107,10 @@ class HamiltonianMatrix:
         Both triangles are written so external tools need no symmetry
         convention.  Optional metadata becomes leading '#' comment lines.
         """
-        with open(path, "w") as fh:
-            for key, val in (metadata or {}).items():
-                fh.write(f"# {key}={val}\n")
-            for i, v in enumerate(self.diagonal):
-                if v != 0.0:
-                    fh.write(f"{i} {i} {float(v)!r}\n")
-            for r, c, v in zip(self.rows, self.cols, self.values):
-                fh.write(f"{r} {c} {float(v)!r}\n")
-                fh.write(f"{c} {r} {float(v)!r}\n")
+        entries = [(i, i, v) for i, v in enumerate(self.diagonal) if v != 0.0]
+        for r, c, v in zip(self.rows, self.cols, self.values):
+            entries += [(r, c, v), (c, r, v)]
+        write_table(path, [], entries, metadata, sep=" ")
 
 
 def build(basis: FockBasis, params: ModelParams) -> HamiltonianMatrix:

@@ -14,7 +14,6 @@ never requires diagonalization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ from .basis import FockBasis
 from .diagnostics import left_half_site_count
 from .hamiltonian import HamiltonianMatrix, ModelParams
 from .rng import make_rng
+from .tables import write_json
 
 __all__ = [
     "EnergyWindowProtocol",
@@ -187,9 +187,4 @@ def maximally_imbalanced_states(basis: FockBasis,
 
 def write_state_manifest(path, ensemble: StateEnsemble,
                          extra: dict | None = None) -> None:
-    manifest = ensemble.to_manifest()
-    if extra:
-        manifest.update(extra)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, ensemble.to_manifest(), extra)

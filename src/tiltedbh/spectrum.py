@@ -15,6 +15,7 @@ import scipy.linalg
 
 from .basis import FockBasis
 from .hamiltonian import HamiltonianMatrix, ModelParams
+from .tables import write_table
 
 __all__ = [
     "R_GOE",
@@ -180,9 +181,5 @@ def chaos_distance(stats, reference: float = R_GOE) -> float:
 def write_spectrum_csv(path, eigenvalues, metadata: dict | None = None) -> None:
     """CSV with columns (index, energy, normalized_energy)."""
     eps = normalized_energies(eigenvalues)
-    with open(path, "w") as fh:
-        for key, val in (metadata or {}).items():
-            fh.write(f"# {key}={val}\n")
-        fh.write("index,energy,normalized_energy\n")
-        for i, (e, x) in enumerate(zip(eigenvalues, eps)):
-            fh.write(f"{i},{float(e)!r},{float(x)!r}\n")
+    write_table(path, ["index", "energy", "normalized_energy"],
+                zip(range(len(eps)), eigenvalues, eps), metadata)

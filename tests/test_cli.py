@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tiltedbh.cli import main
+from tiltedbh.config import SweepConfig, basis_config, point_config
 
 
 def _write(path, payload):
@@ -169,3 +171,59 @@ def test_workers_flag_overrides_config(tmp_path):
                  "--workers", "2"]) == 0
     echoed = json.loads((out / "config_normalized.json").read_text())
     assert echoed["workers"] == 2
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_load_through_the_schema(path):
+    raw = json.loads(path.read_text())
+    command = path.name.split("_")[0]
+    if "system_sizes" in raw:
+        config = SweepConfig.from_dict(raw)
+        assert config.to_dict() == SweepConfig.from_dict(
+            config.to_dict()).to_dict()
+    elif command == "basis":
+        n, m, own = basis_config(raw)
+        assert (n, m) == (raw["n_bosons"], raw["n_sites"])
+    else:
+        config, _ = point_config(raw, command)
+        assert config.system_sizes == [[raw["n_bosons"], raw["n_sites"]]]
+        assert (config.u_values, config.d_values) == ([raw["u"]], [raw["d"]])
+
+
+@pytest.mark.parametrize("command", ["spectrum", "eigenstates", "quench"])
+@pytest.mark.parametrize("bad", [{"time_mx": 50.0}, {"smoothing_window": 4},
+                                 {"time_min": -1}],
+                         ids=["typo", "even_window", "negative_time"])
+def test_bad_point_config_exits_one_before_writing(tmp_path, capsys, command,
+                                                   bad):
+    cfg = _write(tmp_path / "c.json", {"n_bosons": 3, "n_sites": 3,
+                                       "u": 0.5, "d": 0.5, **bad})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_failed_point_command_exits_two_without_outputs(tmp_path, capsys):
+    # a hole window holding no grid time fails the point, not the config
+    cfg = _write(tmp_path / "c.json", {
+        "n_bosons": 3, "n_sites": 3, "u": 0.5, "d": 0.5,
+        "observables": ["survival"], "survival_sample_count": 3,
+        "time_points": 5, "time_max": 2.0, "hole_window": [5.0, 10.0]})
+    out = tmp_path / "out"
+    assert main(["quench", "--config", cfg, "--out", str(out)]) == 2
+    assert "WindowEmptyError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_basis_config_typo_exits_one_before_writing(tmp_path):
+    cfg = _write(tmp_path / "c.json",
+                 {"n_bosons": 3, "n_sites": 3, "write_state": False})
+    out = tmp_path / "out"
+    assert main(["basis", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()

@@ -131,6 +131,25 @@ def test_moving_average_examples():
         moving_average(series, 0)
 
 
+def test_moving_average_keeps_length_of_series_shorter_than_window():
+    assert moving_average(np.zeros(5), 9).shape == (5,)
+    # each window is cut at the ends of the series, never padded
+    assert np.allclose(moving_average(np.arange(7.0), 9),
+                       [2.0, 2.5, 3.0, 3.0, 3.0, 3.5, 4.0])
+
+
+def test_trace_on_grid_shorter_than_window_relaxes_to_its_own_points(
+        chaotic_44, tmp_path):
+    _, spec = chaotic_44
+    grid = log_time_grid(0.1, 100.0, 5)
+    trace = observable_trace([0, 5, 17], spec, grid, "imbalance", 9)
+    assert trace.smoothed_mean.shape == (5,)
+    assert trace.relaxation_value == pytest.approx(trace.smoothed_mean.mean(),
+                                                   rel=1e-12)
+    write_trace_csv(tmp_path / "t.csv", trace)
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 6
+
+
 def test_quench_trace_relaxation_is_tail_mean_of_smoothed():
     grid = linear_time_grid(0.0, 1.0, 30)
     values = np.linspace(0.0, 1.0, 30)[None, :]

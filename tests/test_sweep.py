@@ -233,3 +233,93 @@ def test_value_request_served_from_vector_entry(tmp_path, monkeypatch):
     assert not values.has_vectors
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "eig_3x3_u0.7_d0.3_vec.npz"]
+
+
+def _counting_compute_point(monkeypatch):
+    import tiltedbh.sweep as sweep_mod
+
+    calls = []
+    real = sweep_mod._compute_point
+
+    def counted(config, *point_and_diags):
+        calls.append(point_and_diags[:4])
+        return real(config, *point_and_diags)
+
+    monkeypatch.setattr(sweep_mod, "_compute_point", counted)
+    return calls
+
+
+def _cut_last_line(journal):
+    """Simulate a kill in mid-write: drop the newline and half the last line."""
+    data = journal.read_bytes()
+    start = data.rstrip(b"\n").rfind(b"\n") + 1
+    journal.write_bytes(data[:start + (len(data) - start) // 2])
+
+
+def test_resume_survives_repeated_interrupted_journal_writes(tmp_path,
+                                                             monkeypatch):
+    config = _config(d_values=[0.3, 0.6, 0.9, 1.2, 1.5])
+    clean = tmp_path / "clean"
+    run_chaos_map(config, clean)
+    out = tmp_path / "sweep"
+    run_chaos_map(config, out)
+    journal = out / "records.jsonl"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    # first interruption: two points done, the third half written
+    journal.write_bytes(b"".join(lines[:3]))
+    _cut_last_line(journal)
+    calls = _counting_compute_point(monkeypatch)
+    run_chaos_map(config, out, resume=True)
+    assert [c[3] for c in calls] == [0.9, 1.2, 1.5]
+    # second interruption: the last record half written
+    _cut_last_line(journal)
+    calls.clear()
+    run_chaos_map(config, out, resume=True)
+    assert [c[3] for c in calls] == [1.5]
+    entries = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert sorted(e["record"]["d"] for e in entries) == [0.3, 0.6, 0.9, 1.2,
+                                                         1.5]
+    assert (out / "results.csv").read_bytes() == \
+        (clean / "results.csv").read_bytes()
+
+
+def test_journal_lines_that_do_not_decode_are_skipped(tmp_path, monkeypatch):
+    config = _config(d_values=[0.3, 0.6, 0.9])
+    out = tmp_path / "sweep"
+    run_chaos_map(config, out)
+    journal = out / "records.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    journal.write_text(lines[0] + "{not json\n" + "".join(lines[1:]))
+    calls = _counting_compute_point(monkeypatch)
+    records = run_chaos_map(config, out, resume=True)
+    assert calls == []
+    assert len(records) == 3
+
+
+@pytest.mark.parametrize("damage", ["truncate", "wrong_size"])
+def test_unreadable_cache_entry_is_a_miss_and_is_rewritten(tmp_path,
+                                                           monkeypatch, damage):
+    basis = FockBasis(3, 3)
+    params = ModelParams(u=0.7, d=0.3)
+    first = cached_diagonalize(basis, params, True, cache_dir=tmp_path)
+    entry = tmp_path / "eig_3x3_u0.7_d0.3_vec.npz"
+    if damage == "truncate":
+        entry.write_bytes(entry.read_bytes()[:entry.stat().st_size // 2])
+    else:
+        np.savez(entry, eigenvalues=np.zeros(4), eigenvectors=np.eye(4))
+    solves = []
+    real = spectrum.diagonalize
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "diagonalize", counted)
+    again = cached_diagonalize(basis, params, True, cache_dir=tmp_path)
+    assert solves == [1]
+    assert np.array_equal(again.eigenvalues, first.eigenvalues)
+    # the rewritten entry serves the next request without an eigensolve
+    served = cached_diagonalize(basis, params, True, cache_dir=tmp_path)
+    assert solves == [1]
+    assert np.array_equal(served.eigenvectors, first.eigenvectors)
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
