@@ -162,6 +162,9 @@ def _cmd_sweep(args, runner) -> int:
     raw = load_config(args.config)
     raw.update(_overrides(args))
     config = SweepConfig.from_dict(raw)
+    if args.command == "chaos-map" and set(config.diagnostics) != {"gap_ratio"}:
+        raise ConfigError("diagnostics: a chaos map computes only "
+                          "gap_ratio; run the other diagnostics with cut")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config_effective.json", raw)

@@ -90,14 +90,20 @@ class SpectralData:
 def diagonalize(h: HamiltonianMatrix, compute_vectors: bool = True,
                 value_limit: int = DENSE_EIGENVALUE_LIMIT,
                 vector_limit: int = DENSE_EIGENVECTOR_LIMIT) -> SpectralData:
-    """Dense symmetric eigensolve of the full Hamiltonian."""
+    """Dense symmetric eigensolve of the full Hamiltonian.
+
+    LAPACK works in the dense matrix's own buffer: H equals its transpose,
+    so the ``.T`` view is a column-major array holding the same numbers,
+    which LAPACK overwrites instead of copying.  The returned eigenvectors
+    occupy that buffer, in Fortran order.
+    """
     limit = vector_limit if compute_vectors else value_limit
     if h.dim > limit:
         raise DimensionTooLargeError(
             f"dimension {h.dim} exceeds the dense limit {limit} "
             f"({'with' if compute_vectors else 'without'} eigenvectors)"
         )
-    dense = h.to_dense()
+    dense = h.to_dense().T
     try:
         if compute_vectors:
             vals, vecs = scipy.linalg.eigh(

@@ -18,6 +18,7 @@ import json
 import os
 import zipfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -181,6 +182,16 @@ class PointData:
     hole: dynamics.SurvivalAnalysis | None = None
 
 
+def _point_record(n: int, m: int, u: float, d: float, status: str = "ok",
+                  error: str = "") -> dict:
+    """The ``results.csv`` record of a point before any diagnostic."""
+    return {
+        "n_bosons": n, "n_sites": m, "u": u, "d": d,
+        "d_over_j": d, "u_over_nj": u / n,
+        "status": status, "error": error,
+    }
+
+
 def run_point(config: SweepConfig, n: int, m: int, u: float, d: float,
               diags) -> PointData:
     """The diagnostics ``diags`` at (N, M, U, D).
@@ -189,11 +200,7 @@ def run_point(config: SweepConfig, n: int, m: int, u: float, d: float,
     ``error`` and keeps the fields computed before it.
     """
     diags = set(diags)
-    record = {
-        "n_bosons": n, "n_sites": m, "u": u, "d": d,
-        "d_over_j": d, "u_over_nj": u / n,
-        "status": "ok", "error": "",
-    }
+    record = _point_record(n, m, u, d)
     point = PointData(record)
     try:
         record["dim"] = dimension(n, m)
@@ -421,7 +428,17 @@ def _run_points(config: SweepConfig, out_dir, points, diags,
         with _worker_pool(config.workers, calls) as submitted:
             futures = dict(zip(submitted, pending))
             for fut in as_completed(futures):
-                finish(futures[fut], *fut.result())
+                try:
+                    result = fut.result()
+                except BrokenProcessPool as err:
+                    # a dead worker (killed, out of memory) fails every point
+                    # still without a result; unjournaled, --resume redoes it
+                    records.append(_point_record(
+                        *futures[fut], "error",
+                        f"{type(err).__name__}: a sweep worker process "
+                        f"died: {err}"))
+                else:
+                    finish(futures[fut], *result)
 
     records.sort(key=lambda r: (r["n_bosons"], r["n_sites"], r["u"], r["d"]))
     write_table(out / "results.csv", RESULT_COLUMNS,

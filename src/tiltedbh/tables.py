@@ -3,6 +3,7 @@ both carrying the run metadata (config hash, seed, version)."""
 
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -21,14 +22,15 @@ def _cell(value) -> str:
 def write_table(path, columns, rows, metadata: dict | None = None,
                 sep: str = ",") -> None:
     """One ``# key=value`` line per metadata item, then the column line
-    (none when ``columns`` is empty), then one line per row."""
-    with open(path, "w") as fh:
+    (none when ``columns`` is empty), then one line per row.  A cell that
+    contains the separator, a quote or a line break is quoted."""
+    with open(path, "w", newline="") as fh:
         for key, val in (metadata or {}).items():
             fh.write(f"# {key}={val}\n")
+        out = csv.writer(fh, delimiter=sep, lineterminator="\n")
         if columns:
-            fh.write(sep.join(columns) + "\n")
-        for row in rows:
-            fh.write(sep.join(_cell(v) for v in row) + "\n")
+            out.writerow(columns)
+        out.writerows([_cell(v) for v in row] for row in rows)
 
 
 def write_json(path, data: dict, metadata: dict | None = None) -> None:

@@ -135,6 +135,17 @@ def test_config_errors_exit_one(tmp_path):
                  "--out", str(tmp_path / "o3")]) == 1
 
 
+def test_chaos_map_rejects_diagnostics_other_than_gap_ratio(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", {
+        "system_sizes": [[3, 3]], "u_values": [0.5], "d_values": [0.5],
+        "diagnostics": ["gap_ratio", "pr"],
+    })
+    out = tmp_path / "out"
+    assert main(["chaos-map", "--config", cfg, "--out", str(out)]) == 1
+    assert "config error: diagnostics" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resource_limit_exit_three(tmp_path):
     cfg = _write(tmp_path / "c.json", {
         "system_sizes": [[10, 10]], "u_values": [0.5], "d_values": [0.5],

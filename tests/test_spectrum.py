@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tiltedbh import (
     FockBasis,
@@ -54,6 +57,32 @@ def test_eigenvalues_match_independent_dense_solver():
     spec = diagonalize(build(basis, ModelParams(u=0.5, d=0.5)))
     oracle = np.linalg.eigvalsh(brute_force_dense(basis.states, u=0.5, d=0.5))
     assert np.abs(spec.eigenvalues - oracle).max() < 1e-9
+
+
+def test_eigensolve_is_bit_identical_to_plain_eigh():
+    h = build(FockBasis(5, 5), ModelParams(u=0.5, d=0.8))
+    vals, vecs = scipy.linalg.eigh(h.to_dense(), driver="evd")
+    spec = diagonalize(h, compute_vectors=True)
+    assert np.array_equal(spec.eigenvalues, vals)
+    assert np.array_equal(spec.eigenvectors, vecs)
+    assert spec.eigenvectors.flags.f_contiguous
+    values = diagonalize(h, compute_vectors=False).eigenvalues
+    assert np.array_equal(values, scipy.linalg.eigh(h.to_dense(),
+                                                    eigvals_only=True))
+
+
+@pytest.mark.parametrize("with_vectors, bound", [(False, 1.5), (True, 3.5)])
+def test_eigensolve_works_in_the_hamiltonian_buffer(with_vectors, bound):
+    # one dense matrix for the values, plus the two of dsyevd's workspace
+    # for the vectors; a transposed copy for LAPACK adds one more
+    h = build(FockBasis(6, 6), ModelParams(u=0.5, d=0.8))
+    tracemalloc.start()
+    try:
+        diagonalize(h, compute_vectors=with_vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * h.dim ** 2) < bound
 
 
 def test_dimension_limits():

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -179,6 +180,13 @@ def test_failed_points_are_recorded_not_raised(tmp_path):
     assert "ValueError" in records[0]["error"]
     assert exit_code_for(records) == 2
     assert exit_code_for([{"status": "ok"}]) == 0
+    # the message holds commas; it stays one quoted cell of results.csv
+    assert "," in records[0]["error"]
+    with open(tmp_path / "out" / "results.csv", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+    assert rows[0] == RESULT_COLUMNS
+    assert all(len(row) == len(RESULT_COLUMNS) for row in rows)
+    assert rows[1][RESULT_COLUMNS.index("error")] == records[0]["error"]
 
 
 def test_parallel_workers_reproduce_serial_results(tmp_path):
@@ -323,3 +331,51 @@ def test_unreadable_cache_entry_is_a_miss_and_is_rewritten(tmp_path,
     assert solves == [1]
     assert np.array_equal(served.eigenvectors, first.eigenvectors)
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+
+def _die_at_d_0_9(config, n, m, u, d, diags):
+    """A sweep point whose worker process dies at d = 0.9, as if killed."""
+    import tiltedbh.sweep as sweep_mod
+
+    if d == 0.9:
+        os._exit(1)
+    return sweep_mod._compute_point(config, n, m, u, d, diags)
+
+
+def test_dead_worker_fails_its_points_and_resume_recomputes_them(
+        tmp_path, monkeypatch):
+    import tiltedbh.sweep as sweep_mod
+    from tiltedbh.cli import main
+
+    d_values = [0.3, 0.6, 0.9, 1.2, 1.5, 1.8]
+    cfg = tmp_path / "map.json"
+    cfg.write_text(json.dumps(dict(BASE, d_values=d_values, workers=2)))
+    clean = tmp_path / "clean"
+    assert main(["chaos-map", "--config", str(cfg), "--out", str(clean)]) == 0
+
+    out = tmp_path / "map"
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep_mod, "_compute_point", _die_at_d_0_9)
+        assert main(["chaos-map", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+    with open(out / "results.csv", newline="") as fh:
+        rows = [dict(zip(RESULT_COLUMNS, row)) for row in csv.reader(fh)
+                if not row[0].startswith("#")][1:]
+    assert [float(row["d"]) for row in rows] == d_values
+    failed = {float(row["d"]) for row in rows if row["status"] == "error"}
+    assert 0.9 in failed
+    assert all("worker process died" in row["error"]
+               for row in rows if row["status"] == "error")
+    journal = out / "records.jsonl"
+    journaled = [json.loads(line)["record"]["d"]
+                 for line in journal.read_text().splitlines()]
+    assert sorted(journaled) == sorted(set(d_values) - failed)
+
+    assert main(["chaos-map", "--config", str(cfg), "--out", str(out),
+                 "--resume"]) == 0
+    # each point journaled once: only the failed ones were computed again
+    journaled = [json.loads(line)["record"]["d"]
+                 for line in journal.read_text().splitlines()]
+    assert sorted(journaled) == d_values
+    assert (out / "results.csv").read_bytes() == \
+        (clean / "results.csv").read_bytes()
