@@ -14,7 +14,6 @@ Run:  python demos/04_survival_probability_hole.py   (about half a minute)
 import numpy as np
 
 from tiltedbh import (
-    EnergyWindowProtocol,
     FockBasis,
     ModelParams,
     analytic_survival_curve,
@@ -34,7 +33,8 @@ basis = FockBasis(nm, nm)
 spec = diagonalize(build(basis, ModelParams(u=0.5, d=0.5)))
 
 ensemble = sample_energy_window(
-    basis, EnergyWindowProtocol(sample_count=200, rng_seed=7))
+    basis, sample_count=200, reference=ModelParams(u=0.5, d=0.8),
+    window_halfwidth=0.4, occupation_cap=3, seed=7)
 coeff = ensemble_amplitudes(ensemble.indices, spec)
 grid = log_time_grid(0.1, 1.0e4, 400)
 trace = survival_trace(coeff, spec.eigenvalues, grid)

@@ -37,8 +37,6 @@ from .dynamics import (
 )
 from .hamiltonian import HamiltonianMatrix, ModelParams, build, diagonal_energy
 from .initial_states import (
-    EnergyWindowProtocol,
-    ImbalanceProtocol,
     StateEnsemble,
     maximally_imbalanced_states,
     sample_energy_window,
@@ -67,8 +65,7 @@ __all__ = [
     "EigenstateDiagnostics", "eigenstate_diagnostics", "participation_ratio",
     "single_site_entropy", "page_value", "half_chain_imbalance",
     "central_window_average", "goe_participation_reference",
-    "EnergyWindowProtocol", "ImbalanceProtocol", "StateEnsemble",
-    "spectral_moments", "sample_energy_window", "maximally_imbalanced_states",
+    "StateEnsemble", "spectral_moments", "sample_energy_window", "maximally_imbalanced_states",
     "TimeGrid", "log_time_grid", "QuenchTrace", "SurvivalAnalysis",
     "AnalyticCurveInputs", "evolve_amplitudes", "ensemble_amplitudes",
     "ensemble_ipr", "survival_probability", "survival_trace",

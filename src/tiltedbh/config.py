@@ -272,16 +272,23 @@ def basis_config(raw: dict) -> tuple[int, int, dict]:
     return n, m, own
 
 
+# sweep fields a point config may not set: the point keys set the first
+# four, and a single point has no workers and saves no per-point files
+_SWEEP_ONLY_KEYS = ("system_sizes", "u_values", "d_values", "diagnostics",
+                    "workers", "save_traces", "save_eigenstate_profiles")
+
+
 def point_config(raw: dict, command: str,
                  overrides: dict | None = None) -> tuple[SweepConfig, dict]:
     """A point config as a one-point SweepConfig, plus the command's own
     keys.  Unknown keys and invalid values raise ConfigError."""
-    raw = dict(raw)
+    raw = {**raw, **(overrides or {})}
     own = _command_keys(raw, command)
     n, m, u, d = _required(raw, ("n_bosons", "n_sites", "u", "d"))
-    for key in ("system_sizes", "u_values", "d_values", "diagnostics"):
-        if key in raw:  # the point keys set these
-            raise ConfigError(f"{key}: unknown configuration field")
+    for key in _SWEEP_ONLY_KEYS:
+        if key in raw:
+            raise ConfigError(f"{key}: a sweep setting; point configs do "
+                              f"not take it")
     if command == "spectrum":
         diagnostics = ["gap_ratio"]
     elif command == "eigenstates":
@@ -289,5 +296,5 @@ def point_config(raw: dict, command: str,
     else:
         diagnostics = [OBSERVABLES[name] for name in own["observables"]]
     raw.update(system_sizes=[[n, m]], u_values=[u], d_values=[d],
-               diagnostics=diagnostics, **(overrides or {}))
+               diagnostics=diagnostics)
     return SweepConfig.from_dict(raw), own

@@ -14,7 +14,7 @@ never requires diagonalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .rng import make_rng
 from .tables import write_json
 
 __all__ = [
-    "EnergyWindowProtocol",
-    "ImbalanceProtocol",
     "StateEnsemble",
     "InsufficientCandidatesError",
     "spectral_moments",
@@ -39,46 +37,6 @@ __all__ = [
 
 class InsufficientCandidatesError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class EnergyWindowProtocol:
-    """Random capped Fock states inside a central energy window.
-
-    The window is [E_c - w * dE, E_c + w * dE] with (E_c, dE) the mean and
-    standard deviation of the reference spectrum and w the halfwidth.
-    """
-
-    sample_count: int = 200
-    reference_params: ModelParams = field(
-        default_factory=lambda: ModelParams(u=0.5, d=0.8)
-    )
-    window_halfwidth: float = 0.4
-    occupation_cap: int = 3
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be at least 1")
-        if self.window_halfwidth <= 0:
-            raise ValueError("window_halfwidth must be positive")
-        if self.occupation_cap < 1:
-            raise ValueError("occupation_cap must be at least 1")
-
-
-@dataclass(frozen=True)
-class ImbalanceProtocol:
-    """Capped Fock states with every boson on the right half (imbalance -1)."""
-
-    occupation_cap: int = 3
-    max_states: int | None = None
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.occupation_cap < 1:
-            raise ValueError("occupation_cap must be at least 1")
-        if self.max_states is not None and self.max_states < 1:
-            raise ValueError("max_states must be at least 1 when set")
 
 
 @dataclass
@@ -114,25 +72,37 @@ def spectral_moments(h: HamiltonianMatrix) -> tuple[float, float]:
     return center, float(np.sqrt(second - center ** 2))
 
 
-def sample_energy_window(basis: FockBasis,
-                         protocol: EnergyWindowProtocol) -> StateEnsemble:
-    """Seeded sample, without replacement, of capped states in the window."""
-    h_ref = hamiltonian.build(basis, protocol.reference_params)
+def sample_energy_window(basis: FockBasis, *, sample_count: int,
+                         reference: ModelParams, window_halfwidth: float,
+                         occupation_cap: int, seed: int) -> StateEnsemble:
+    """Seeded sample, without replacement, of ``sample_count`` capped states
+    inside the central energy window of the ``reference`` Hamiltonian.
+
+    The window is [E_c - w * dE, E_c + w * dE] with (E_c, dE) the mean and
+    standard deviation of the reference spectrum and w the halfwidth.
+    """
+    if sample_count < 1:
+        raise ValueError("sample_count must be at least 1")
+    if window_halfwidth <= 0:
+        raise ValueError("window_halfwidth must be positive")
+    if occupation_cap < 1:
+        raise ValueError("occupation_cap must be at least 1")
+    h_ref = hamiltonian.build(basis, reference)
     e_center, e_sd = spectral_moments(h_ref)
-    half = protocol.window_halfwidth * e_sd
-    capped = (basis.states <= protocol.occupation_cap).all(axis=1)
+    half = window_halfwidth * e_sd
+    capped = (basis.states <= occupation_cap).all(axis=1)
     inside = np.abs(h_ref.diagonal - e_center) <= half
     candidates = np.nonzero(capped & inside)[0]
-    if candidates.size < protocol.sample_count:
+    if candidates.size < sample_count:
         raise InsufficientCandidatesError(
             f"window holds {candidates.size} candidate states, "
-            f"need {protocol.sample_count}"
+            f"need {sample_count}"
         )
-    if candidates.size == protocol.sample_count:
+    if candidates.size == sample_count:
         chosen = candidates
     else:
-        rng = make_rng(protocol.rng_seed)
-        pick = rng.choice(candidates.size, size=protocol.sample_count,
+        rng = make_rng(seed)
+        pick = rng.choice(candidates.size, size=sample_count,
                           replace=False, shuffle=False)
         chosen = np.sort(candidates[pick])
     occ = basis.states[chosen]
@@ -141,46 +111,52 @@ def sample_energy_window(basis: FockBasis,
         "protocol": "energy_window",
         "sampling": "uniform_without_replacement",
         "rng": "philox",
-        "rng_seed": int(protocol.rng_seed),
+        "rng_seed": int(seed),
         "n_bosons": basis.n_bosons,
         "n_sites": basis.n_sites,
-        "occupation_cap": int(protocol.occupation_cap),
-        "window_halfwidth": float(protocol.window_halfwidth),
+        "occupation_cap": int(occupation_cap),
+        "window_halfwidth": float(window_halfwidth),
         "window_bounds": [float(e_center - half), float(e_center + half)],
         "spectral_center": float(e_center),
         "spectral_sd": float(e_sd),
-        "reference_u": protocol.reference_params.u,
-        "reference_d": protocol.reference_params.d,
-        "reference_j": protocol.reference_params.j,
+        "reference_u": reference.u,
+        "reference_d": reference.d,
+        "reference_j": reference.j,
         "n_candidates": int(candidates.size),
     }
     return StateEnsemble(chosen, occ, energies, meta)
 
 
-def maximally_imbalanced_states(basis: FockBasis,
-                                protocol: ImbalanceProtocol) -> StateEnsemble:
-    """All capped states with an empty left half; optionally subsampled."""
+def maximally_imbalanced_states(basis: FockBasis, *, occupation_cap: int,
+                                max_states: int | None,
+                                seed: int) -> StateEnsemble:
+    """All capped states with every boson on the right half (imbalance -1);
+    a seeded subsample of ``max_states`` of them when there are more."""
+    if occupation_cap < 1:
+        raise ValueError("occupation_cap must be at least 1")
+    if max_states is not None and max_states < 1:
+        raise ValueError("max_states must be at least 1 when set")
     left = left_half_site_count(basis.n_sites)
     ok = (basis.states[:, :left] == 0).all(axis=1)
-    ok &= (basis.states <= protocol.occupation_cap).all(axis=1)
+    ok &= (basis.states <= occupation_cap).all(axis=1)
     chosen = np.nonzero(ok)[0]
     n_qualifying = int(chosen.size)
-    if protocol.max_states is not None and chosen.size > protocol.max_states:
-        rng = make_rng(protocol.rng_seed)
-        pick = rng.choice(chosen.size, size=protocol.max_states,
+    if max_states is not None and chosen.size > max_states:
+        rng = make_rng(seed)
+        pick = rng.choice(chosen.size, size=max_states,
                           replace=False, shuffle=False)
         chosen = np.sort(chosen[pick])
     meta = {
         "protocol": "maximal_imbalance",
         "target_imbalance": -1.0,
         "rng": "philox",
-        "rng_seed": int(protocol.rng_seed),
+        "rng_seed": int(seed),
         "n_bosons": basis.n_bosons,
         "n_sites": basis.n_sites,
-        "occupation_cap": int(protocol.occupation_cap),
+        "occupation_cap": int(occupation_cap),
         "left_sites": left,
         "n_qualifying": n_qualifying,
-        "max_states": protocol.max_states,
+        "max_states": max_states,
     }
     return StateEnsemble(chosen, basis.states[chosen], None, meta)
 

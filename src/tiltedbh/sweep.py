@@ -2,11 +2,12 @@
 
 A sweep walks a list of (N, M, U, D) points, computes the requested
 diagnostics with shared spectral data per point, and persists one record
-per point.  Completed points are journaled to ``records.jsonl`` so an
-interrupted sweep can resume; the canonical ``results.csv`` is rewritten
-sorted at the end, so identical config + seed + worker count reproduce it
-byte for byte.  Initial-state ensembles are seeded and regenerated
-identically inside each worker instead of being shared.
+per point.  Each point writes its profile and trace files before it is
+journaled to ``records.jsonl``, so an interrupted sweep can resume from
+the journal; the canonical ``results.csv`` is rewritten sorted at the end,
+so identical config + seed + worker count reproduce it byte for byte.
+Initial-state ensembles are seeded and regenerated identically inside each
+worker instead of being shared.
 
 The point commands of the command line run a one-point config through the
 same per-point pipeline, ``run_point``.
@@ -147,24 +148,13 @@ def _build_ensembles(basis: FockBasis, config: SweepConfig, diags: set):
                         ("entropy_dynamics", config.entropy_sample_count)):
         if diag in diags:
             out[diag] = initial_states.sample_energy_window(
-                basis,
-                initial_states.EnergyWindowProtocol(
-                    sample_count=count,
-                    reference_params=reference,
-                    window_halfwidth=config.window_halfwidth,
-                    occupation_cap=config.occupation_cap,
-                    rng_seed=config.seed,
-                ),
-            )
+                basis, sample_count=count, reference=reference,
+                window_halfwidth=config.window_halfwidth,
+                occupation_cap=config.occupation_cap, seed=config.seed)
     if "imbalance_dynamics" in diags:
         out["imbalance_dynamics"] = initial_states.maximally_imbalanced_states(
-            basis,
-            initial_states.ImbalanceProtocol(
-                occupation_cap=config.occupation_cap,
-                max_states=config.imbalance_max_states,
-                rng_seed=config.seed,
-            ),
-        )
+            basis, occupation_cap=config.occupation_cap,
+            max_states=config.imbalance_max_states, seed=config.seed)
     return out
 
 
@@ -302,26 +292,30 @@ def trace_summary(trace, ensemble, hole=None) -> dict:
     return summary
 
 
-def _compute_point(config: SweepConfig, n: int, m: int, u: float, d: float,
-                   diags: tuple) -> tuple[dict, list]:
-    """One (N, M, U, D) record plus the files to persist for it, as
-    ``(writer, relative path, writer arguments)`` triples."""
+def _compute_point(config: SweepConfig, out_dir: Path, n: int, m: int,
+                   u: float, d: float, diags: tuple) -> dict:
+    """The (N, M, U, D) record, returned once the point's eigenstate
+    profile and trace files, if the config saves them, are in ``out_dir``."""
     point = run_point(config, n, m, u, d, diags)
-    files = []
     if point.record["status"] != "ok":
-        return point.record, files
+        return point.record
     stem = f"{n}x{m}_u{u:.6g}_d{d:.6g}"
+    metadata = config.metadata()
     if config.save_eigenstate_profiles and point.profiles is not None:
-        files.append((write_eigenstate_csv, f"eigenstates/{stem}.csv",
-                      (point.spectral.eigenvalues, point.profiles)))
-    if config.save_traces:
+        (out_dir / "eigenstates").mkdir(exist_ok=True)
+        write_eigenstate_csv(out_dir / "eigenstates" / f"{stem}.csv",
+                             point.spectral.eigenvalues, point.profiles,
+                             metadata)
+    if config.save_traces and point.traces:
+        (out_dir / "traces").mkdir(exist_ok=True)
         for diag, trace in point.traces.items():
-            path = f"traces/{trace.observable}_{stem}"
+            name = f"{trace.observable}_{stem}"
             summary = trace_summary(trace, point.ensembles[diag],
                                     point.hole if diag == "survival" else None)
-            files += [(dynamics.write_trace_csv, f"{path}.csv", (trace,)),
-                      (write_json, f"{path}.json", (summary,))]
-    return point.record, files
+            dynamics.write_trace_csv(out_dir / "traces" / f"{name}.csv", trace,
+                                     metadata)
+            write_json(out_dir / "traces" / f"{name}.json", summary, metadata)
+    return point.record
 
 
 # -- journal / results persistence -------------------------------------------
@@ -366,13 +360,6 @@ def _append_journal(out_dir: Path, key: str, record: dict,
         os.fsync(fh.fileno())
 
 
-def _write_files(out_dir: Path, files: list, metadata: dict) -> None:
-    for writer, relative, args in files:
-        path = out_dir / relative
-        path.parent.mkdir(parents=True, exist_ok=True)
-        writer(path, *args, metadata)
-
-
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -414,16 +401,17 @@ def _run_points(config: SweepConfig, out_dir, points, diags,
     pending = [p for p in points if _point_key(*p) not in done]
     records = list(done.values())
 
-    def finish(point, record, files):
+    def finish(point, record):
+        # a point's files are written before its record: a journaled
+        # point is complete on disk
         _append_journal(out, _point_key(*point), record, chash)
-        _write_files(out, files, metadata)
         records.append(record)
 
     if config.workers == 1 or len(pending) <= 1:
         for point in pending:
-            finish(point, *_compute_point(config, *point, tuple(diags)))
+            finish(point, _compute_point(config, out, *point, tuple(diags)))
     else:
-        calls = [(_compute_point, config, *point, tuple(diags))
+        calls = [(_compute_point, config, out, *point, tuple(diags))
                  for point in pending]
         with _worker_pool(config.workers, calls) as submitted:
             futures = dict(zip(submitted, pending))
@@ -438,7 +426,7 @@ def _run_points(config: SweepConfig, out_dir, points, diags,
                         f"{type(err).__name__}: a sweep worker process "
                         f"died: {err}"))
                 else:
-                    finish(futures[fut], *result)
+                    finish(futures[fut], result)
 
     records.sort(key=lambda r: (r["n_bosons"], r["n_sites"], r["u"], r["d"]))
     write_table(out / "results.csv", RESULT_COLUMNS,

@@ -14,7 +14,6 @@ import pytest
 from tiltedbh import (
     AnalyticCurveInputs,
     FockBasis,
-    ImbalanceProtocol,
     ModelParams,
     QuenchTrace,
     SweepConfig,
@@ -119,7 +118,8 @@ def test_criterion_02_imbalance_protocol_state_counts():
     counts = {}
     for nm in (7, 8, 9, 10):
         basis = FockBasis(nm, nm)
-        counts[nm] = len(maximally_imbalanced_states(basis, ImbalanceProtocol()))
+        counts[nm] = len(maximally_imbalanced_states(
+            basis, occupation_cap=3, max_states=None, seed=0))
     ok = counts == {7: 6, 8: 31, 9: 20, 10: 101}
     _report(2, "imbalance-state-counts", ok, str(counts))
 
@@ -247,7 +247,8 @@ def test_criterion_10_property_suites(rng):
 
     # norm and energy conservation during evolution
     spec = diagonalize(h)
-    ens = maximally_imbalanced_states(spec.basis, ImbalanceProtocol())
+    ens = maximally_imbalanced_states(spec.basis, occupation_cap=3,
+                                      max_states=None, seed=0)
     coeff = ensemble_amplitudes(ens.indices, spec)
     sparse = h.to_sparse()
     norm_ok, energy_ok = True, True

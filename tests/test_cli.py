@@ -207,8 +207,12 @@ def test_shipped_configs_load_through_the_schema(path):
 
 @pytest.mark.parametrize("command", ["spectrum", "eigenstates", "quench"])
 @pytest.mark.parametrize("bad", [{"time_mx": 50.0}, {"smoothing_window": 4},
-                                 {"time_min": -1}],
-                         ids=["typo", "even_window", "negative_time"])
+                                 {"time_min": -1}, {"workers": 2},
+                                 {"save_traces": True},
+                                 {"save_eigenstate_profiles": True}],
+                         ids=["typo", "even_window", "negative_time",
+                              "workers", "save_traces",
+                              "save_eigenstate_profiles"])
 def test_bad_point_config_exits_one_before_writing(tmp_path, capsys, command,
                                                    bad):
     cfg = _write(tmp_path / "c.json", {"n_bosons": 3, "n_sites": 3,

@@ -4,7 +4,6 @@ import pytest
 from tiltedbh import (
     AnalyticCurveInputs,
     FockBasis,
-    ImbalanceProtocol,
     ModelParams,
     QuenchTrace,
     SpectralData,
@@ -161,7 +160,8 @@ def test_quench_trace_relaxation_is_tail_mean_of_smoothed():
 def test_observable_traces_start_exactly_at_initial_values(chaotic_44):
     _, spec = chaotic_44
     basis = spec.basis
-    ens = maximally_imbalanced_states(basis, ImbalanceProtocol())
+    ens = maximally_imbalanced_states(basis, occupation_cap=3,
+                                      max_states=None, seed=0)
     grid = linear_time_grid(0.0, 2.0, 12)
     imb = observable_trace(ens.indices, spec, grid, "imbalance")
     assert np.allclose(imb.values[:, 0], -1.0, atol=1e-12)
@@ -218,7 +218,8 @@ def test_observable_trace_matches_per_time_oracle(small_chain, observable,
 def test_norm_and_energy_conserved_under_evolution(chaotic_44):
     h, spec = chaotic_44
     basis = spec.basis
-    ens = maximally_imbalanced_states(basis, ImbalanceProtocol())
+    ens = maximally_imbalanced_states(basis, occupation_cap=3,
+                                      max_states=None, seed=0)
     coeff = ensemble_amplitudes(ens.indices, spec)
     sparse = h.to_sparse()
     e0 = None

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from tiltedbh import (
-    EnergyWindowProtocol,
     FockBasis,
-    ImbalanceProtocol,
     ModelParams,
     build,
     diagonalize,
@@ -16,6 +14,10 @@ from tiltedbh import (
 )
 from tiltedbh.hamiltonian import HamiltonianMatrix, diagonal_energies
 from tiltedbh.initial_states import InsufficientCandidatesError, write_state_manifest
+
+REFERENCE = ModelParams(u=0.5, d=0.8)
+# the energy window and occupation cap of the paper's protocol
+WINDOW = {"reference": REFERENCE, "window_halfwidth": 0.4, "occupation_cap": 3}
 
 
 def test_spectral_moments_diagonal_example():
@@ -45,24 +47,22 @@ def test_spectral_moments_match_full_diagonalization():
 
 def test_energy_window_sampling_is_deterministic_and_valid():
     basis = FockBasis(8, 8)
-    protocol = EnergyWindowProtocol(sample_count=200, rng_seed=11)
-    first = sample_energy_window(basis, protocol)
-    second = sample_energy_window(basis, protocol)
+    first = sample_energy_window(basis, sample_count=200, seed=11, **WINDOW)
+    second = sample_energy_window(basis, sample_count=200, seed=11, **WINDOW)
     assert np.array_equal(first.indices, second.indices)
     assert len(first) == 200
 
     # post-hoc filter: every state obeys the cap and the window bounds
-    assert (first.occupations <= protocol.occupation_cap).all()
+    assert (first.occupations <= WINDOW["occupation_cap"]).all()
     lo, hi = first.metadata["window_bounds"]
-    energies = diagonal_energies(first.occupations, protocol.reference_params)
+    energies = diagonal_energies(first.occupations, REFERENCE)
     assert ((energies >= lo) & (energies <= hi)).all()
     assert np.allclose(energies, first.diagonal_energies)
 
 
 def test_window_uses_reference_parameters_not_swept_ones():
     basis = FockBasis(6, 6)
-    protocol = EnergyWindowProtocol(sample_count=10, rng_seed=3)
-    ens = sample_energy_window(basis, protocol)
+    ens = sample_energy_window(basis, sample_count=10, seed=3, **WINDOW)
     assert ens.metadata["reference_u"] == 0.5
     assert ens.metadata["reference_d"] == 0.8
     assert ens.metadata["sampling"] == "uniform_without_replacement"
@@ -70,27 +70,25 @@ def test_window_uses_reference_parameters_not_swept_ones():
 
 def test_full_candidate_set_returned_without_randomness():
     basis = FockBasis(4, 4)
-    probe = EnergyWindowProtocol(sample_count=1, rng_seed=0)
-    n_cand = sample_energy_window(basis, probe).metadata["n_candidates"]
-    full = sample_energy_window(
-        basis, EnergyWindowProtocol(sample_count=n_cand, rng_seed=123))
+    probe = sample_energy_window(basis, sample_count=1, seed=0, **WINDOW)
+    n_cand = probe.metadata["n_candidates"]
+    full = sample_energy_window(basis, sample_count=n_cand, seed=123, **WINDOW)
     assert len(full) == n_cand
-    other = sample_energy_window(
-        basis, EnergyWindowProtocol(sample_count=n_cand, rng_seed=456))
+    other = sample_energy_window(basis, sample_count=n_cand, seed=456, **WINDOW)
     assert np.array_equal(full.indices, other.indices)
 
 
 def test_insufficient_candidates_is_an_error():
     basis = FockBasis(4, 4)
     with pytest.raises(InsufficientCandidatesError, match=r"\d+ candidate"):
-        sample_energy_window(
-            basis, EnergyWindowProtocol(sample_count=10_000, rng_seed=0))
+        sample_energy_window(basis, sample_count=10_000, seed=0, **WINDOW)
 
 
 @pytest.mark.parametrize("nm,expected", [(7, 6), (8, 31), (9, 20), (10, 101)])
 def test_maximally_imbalanced_state_counts(nm, expected):
     basis = FockBasis(nm, nm)
-    ens = maximally_imbalanced_states(basis, ImbalanceProtocol())
+    ens = maximally_imbalanced_states(basis, occupation_cap=3,
+                                      max_states=None, seed=0)
     assert len(ens) == expected
     left = ens.metadata["left_sites"]
     assert (ens.occupations[:, :left] == 0).all()
@@ -108,38 +106,45 @@ def test_imbalanced_counts_match_polynomial_oracle():
         for n in range(1, 13):
             expected = int(poly[n]) if n < poly.size else 0
             basis = FockBasis(n, m)
-            got = len(maximally_imbalanced_states(basis, ImbalanceProtocol()))
+            got = len(maximally_imbalanced_states(
+                basis, occupation_cap=3, max_states=None, seed=0))
             assert got == expected, (n, m)
 
 
 def test_imbalanced_subsampling_is_seeded():
     basis = FockBasis(10, 10)
-    proto = ImbalanceProtocol(max_states=20, rng_seed=9)
-    first = maximally_imbalanced_states(basis, proto)
-    second = maximally_imbalanced_states(basis, proto)
+    first = maximally_imbalanced_states(basis, occupation_cap=3,
+                                        max_states=20, seed=9)
+    second = maximally_imbalanced_states(basis, occupation_cap=3,
+                                         max_states=20, seed=9)
     assert len(first) == 20
     assert np.array_equal(first.indices, second.indices)
     assert first.metadata["n_qualifying"] == 101
-    different = maximally_imbalanced_states(
-        basis, ImbalanceProtocol(max_states=20, rng_seed=10))
+    different = maximally_imbalanced_states(basis, occupation_cap=3,
+                                            max_states=20, seed=10)
     assert not np.array_equal(first.indices, different.indices)
 
 
 def test_protocol_validation():
-    with pytest.raises(ValueError):
-        EnergyWindowProtocol(sample_count=0)
-    with pytest.raises(ValueError):
-        EnergyWindowProtocol(window_halfwidth=-1.0)
-    with pytest.raises(ValueError):
-        ImbalanceProtocol(occupation_cap=0)
-    with pytest.raises(ValueError):
-        ImbalanceProtocol(max_states=0)
+    basis = FockBasis(4, 4)
+    window = dict(WINDOW, sample_count=5, seed=0)
+    with pytest.raises(ValueError, match="sample_count must be at least 1"):
+        sample_energy_window(basis, **dict(window, sample_count=0))
+    with pytest.raises(ValueError, match="window_halfwidth must be positive"):
+        sample_energy_window(basis, **dict(window, window_halfwidth=-1.0))
+    with pytest.raises(ValueError, match="occupation_cap must be at least 1"):
+        sample_energy_window(basis, **dict(window, occupation_cap=0))
+    with pytest.raises(ValueError, match="occupation_cap must be at least 1"):
+        maximally_imbalanced_states(basis, occupation_cap=0, max_states=None,
+                                    seed=0)
+    with pytest.raises(ValueError, match="max_states must be at least 1"):
+        maximally_imbalanced_states(basis, occupation_cap=3, max_states=0,
+                                    seed=0)
 
 
 def test_manifest_roundtrip(tmp_path):
     basis = FockBasis(5, 5)
-    ens = sample_energy_window(
-        basis, EnergyWindowProtocol(sample_count=5, rng_seed=2))
+    ens = sample_energy_window(basis, sample_count=5, seed=2, **WINDOW)
     path = tmp_path / "states.json"
     write_state_manifest(path, ens, extra={"config_hash": "abc"})
     data = json.loads(path.read_text())

@@ -249,9 +249,9 @@ def _counting_compute_point(monkeypatch):
     calls = []
     real = sweep_mod._compute_point
 
-    def counted(config, *point_and_diags):
-        calls.append(point_and_diags[:4])
-        return real(config, *point_and_diags)
+    def counted(config, out_dir, n, m, u, d, diags):
+        calls.append((n, m, u, d))
+        return real(config, out_dir, n, m, u, d, diags)
 
     monkeypatch.setattr(sweep_mod, "_compute_point", counted)
     return calls
@@ -287,6 +287,44 @@ def test_resume_survives_repeated_interrupted_journal_writes(tmp_path,
     entries = [json.loads(line) for line in journal.read_text().splitlines()]
     assert sorted(e["record"]["d"] for e in entries) == [0.3, 0.6, 0.9, 1.2,
                                                          1.5]
+    assert (out / "results.csv").read_bytes() == \
+        (clean / "results.csv").read_bytes()
+
+
+def test_point_interrupted_while_writing_files_is_recomputed_on_resume(
+        tmp_path, monkeypatch):
+    from tiltedbh import dynamics
+
+    config = _config(system_sizes=[[4, 4]], d_values=[0.5, 2.0],
+                     diagnostics=["survival", "entropy_dynamics"],
+                     survival_sample_count=4, entropy_sample_count=3,
+                     time_points=40, time_points_observables=20,
+                     hole_window=[5.0, 500.0], save_traces=True)
+    clean = tmp_path / "clean"
+    run_cut(config, clean)
+    out = tmp_path / "cut"
+    real = dynamics.write_trace_csv
+
+    def interrupted(path, *args):
+        if path.name.startswith("entropy_") and "_d0.5" in path.name:
+            raise KeyboardInterrupt  # a Ctrl-C between two of the point's files
+        return real(path, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "write_trace_csv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cut(config, out)
+    journal = out / "records.jsonl"
+    assert not journal.exists() or journal.read_text() == ""  # none journaled
+    calls = _counting_compute_point(monkeypatch)
+    run_cut(config, out, resume=True)
+    assert [c[3] for c in calls] == [0.5, 2.0]
+    names = sorted(path.name for path in (clean / "traces").iterdir())
+    assert len(names) == 8  # two observables, .csv and .json, two points
+    assert sorted(path.name for path in (out / "traces").iterdir()) == names
+    for name in names:
+        assert (out / "traces" / name).read_bytes() == \
+            (clean / "traces" / name).read_bytes()
     assert (out / "results.csv").read_bytes() == \
         (clean / "results.csv").read_bytes()
 
@@ -333,13 +371,13 @@ def test_unreadable_cache_entry_is_a_miss_and_is_rewritten(tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]
 
 
-def _die_at_d_0_9(config, n, m, u, d, diags):
+def _die_at_d_0_9(config, out_dir, n, m, u, d, diags):
     """A sweep point whose worker process dies at d = 0.9, as if killed."""
     import tiltedbh.sweep as sweep_mod
 
     if d == 0.9:
         os._exit(1)
-    return sweep_mod._compute_point(config, n, m, u, d, diags)
+    return sweep_mod._compute_point(config, out_dir, n, m, u, d, diags)
 
 
 def test_dead_worker_fails_its_points_and_resume_recomputes_them(
