@@ -8,15 +8,13 @@ imbalance.
 
 from ._version import __version__
 from .basis import FockBasis, dimension
+from .config import SweepConfig
 from .diagnostics import (
     EigenstateDiagnostics,
     central_window_average,
     eigenstate_diagnostics,
     goe_participation_reference,
-    half_chain_imbalance,
     page_value,
-    participation_ratio,
-    single_site_entropy,
 )
 from .dynamics import (
     AnalyticCurveInputs,
@@ -24,11 +22,11 @@ from .dynamics import (
     SurvivalAnalysis,
     TimeGrid,
     analytic_survival_curve,
+    b2_form_factor,
     correlation_hole_depth,
     ensemble_amplitudes,
     ensemble_ipr,
     estimate_curve_inputs,
-    evolve_amplitudes,
     log_time_grid,
     moving_average,
     observable_trace,
@@ -42,7 +40,6 @@ from .initial_states import (
     sample_energy_window,
     spectral_moments,
 )
-from .rmt import b2_form_factor, goe_matrix, goe_spectrum, poisson_spectrum
 from .rng import make_rng
 from .spectrum import (
     GapRatioStats,
@@ -54,7 +51,7 @@ from .spectrum import (
     mean_gap_ratio,
     normalized_energies,
 )
-from .sweep import SweepConfig, run_chaos_map, run_cut, validate_and_echo_config
+from .sweep import run_chaos_map, run_cut
 
 __all__ = [
     "__version__",
@@ -62,16 +59,14 @@ __all__ = [
     "ModelParams", "HamiltonianMatrix", "build", "diagonal_energy",
     "SpectralData", "GapRatioStats", "diagonalize", "mean_gap_ratio",
     "normalized_energies", "chaos_distance", "R_GOE", "R_POISSON",
-    "EigenstateDiagnostics", "eigenstate_diagnostics", "participation_ratio",
-    "single_site_entropy", "page_value", "half_chain_imbalance",
+    "EigenstateDiagnostics", "eigenstate_diagnostics", "page_value",
     "central_window_average", "goe_participation_reference",
     "StateEnsemble", "spectral_moments", "sample_energy_window", "maximally_imbalanced_states",
     "TimeGrid", "log_time_grid", "QuenchTrace", "SurvivalAnalysis",
-    "AnalyticCurveInputs", "evolve_amplitudes", "ensemble_amplitudes",
+    "AnalyticCurveInputs", "ensemble_amplitudes",
     "ensemble_ipr", "survival_probability", "survival_trace",
     "observable_trace", "moving_average", "correlation_hole_depth",
-    "estimate_curve_inputs", "analytic_survival_curve",
-    "goe_matrix", "goe_spectrum", "poisson_spectrum", "b2_form_factor",
+    "estimate_curve_inputs", "analytic_survival_curve", "b2_form_factor",
     "make_rng",
-    "SweepConfig", "run_chaos_map", "run_cut", "validate_and_echo_config",
+    "SweepConfig", "run_chaos_map", "run_cut",
 ]

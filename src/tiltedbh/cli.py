@@ -49,6 +49,14 @@ def _overrides(args) -> dict:
             if value is not None}
 
 
+def _reject_flags(args, names) -> None:
+    """Raise ConfigError for a flag in ``names`` that was given: the
+    command does not read it."""
+    for name in names:
+        if getattr(args, name) not in (None, False):
+            raise ConfigError(f"--{name}: {args.command} does not take it")
+
+
 def _report(records: list) -> int:
     for rec in records:
         if rec.get("status") != "ok":
@@ -62,6 +70,7 @@ def _report(records: list) -> int:
 
 
 def _cmd_basis(args) -> int:
+    _reject_flags(args, ("workers", "seed", "resume"))
     n, m, own = basis_config(load_config(args.config))
     dim = dimension(n, m)
     meta = output_metadata({"n_bosons": n, "n_sites": m, "seed": 0, **own}, 0)
@@ -143,6 +152,7 @@ _POINT_WRITERS = {
 
 def _cmd_point(args) -> int:
     """Validate, run the point, and only then write the command's files."""
+    _reject_flags(args, ("resume",))
     config, own = point_config(load_config(args.config), args.command,
                                _overrides(args))
     (n, m), u, d = config.system_sizes[0], config.u_values[0], config.d_values[0]
@@ -196,7 +206,7 @@ def main(argv=None) -> int:
         p.add_argument("--workers", type=int, default=None,
                        help="parallel workers (sweeps only)")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+                       help="override the config seed (all but basis)")
         p.add_argument("--resume", action="store_true",
                        help="skip points already journaled (sweeps only)")
     args = parser.parse_args(argv)

@@ -3,15 +3,20 @@
 ``SweepConfig`` holds every setting of a run: each field carries its
 default, the conversion of a raw JSON value and the rule the value must
 meet, so ``from_dict`` fills, converts and validates a whole config from
-the field definitions alone.  A point config (``n_bosons``, ``n_sites``,
-``u``, ``d`` plus the command's own keys) becomes a one-point
-``SweepConfig``.  Unknown keys and invalid values raise ``ConfigError``.
+the field definitions alone.  A value must have its JSON type and is never
+coerced: a flag is a JSON boolean, an integer a whole number that is not a
+boolean, a float a finite number and a list a JSON array.  A point config
+(``n_bosons``, ``n_sites``, ``u``, ``d`` plus the command's own keys)
+becomes a one-point ``SweepConfig``.  Unknown keys and invalid values raise
+``ConfigError``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -26,7 +31,6 @@ __all__ = [
     "OBSERVABLES",
     "output_metadata",
     "load_config",
-    "validate_and_echo_config",
     "point_config",
     "basis_config",
 ]
@@ -57,13 +61,45 @@ def _setting(default, convert=None, ok=None, rule="", required=False):
     return field(default=default, metadata=meta)
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    if isinstance(value, float) and value.is_integer() or \
+            isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"expected a whole number, got {value!r}")
+
+
+def _real(value) -> float:
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and \
+            math.isfinite(value):
+        return float(value)
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def _array(value) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a JSON array, got {value!r}")
+    return list(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
 def _each(convert, ok, rule):
     def parse(values):
-        out = [convert(v) for v in values]
+        out = [convert(v) for v in _array(values)]
         for i, value in enumerate(out):
             if not ok(value):
                 raise ValueError(f"entry {i}: {rule}")
@@ -72,10 +108,9 @@ def _each(convert, ok, rule):
 
 
 def _size_pair(pair) -> list:
-    try:
-        n, m = int(pair[0]), int(pair[1])
-    except (TypeError, ValueError, IndexError):
-        raise ValueError("expected a [N, M] pair") from None
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"expected a [N, M] pair, got {pair!r}")
+    n, m = _integer(pair[0]), _integer(pair[1])
     if n < 1 or m < 1:
         raise ValueError("N and M must be >= 1")
     return [n, m]
@@ -94,47 +129,47 @@ class SweepConfig:
     are stored in units of the hopping, so ``j`` is 1 after ``from_dict``.
     """
 
-    system_sizes: list = _setting([], lambda v: [_size_pair(p) for p in v],
-                                  required=True)
-    u_values: list = _setting([], _each(float, *_NON_NEGATIVE), required=True)
-    d_values: list = _setting([], _each(float, *_NON_NEGATIVE), required=True)
+    system_sizes: list = _setting(
+        [], lambda v: [_size_pair(p) for p in _array(v)], required=True)
+    u_values: list = _setting([], _each(_real, *_NON_NEGATIVE), required=True)
+    d_values: list = _setting([], _each(_real, *_NON_NEGATIVE), required=True)
     diagnostics: list = _setting(
         [], _each(str, ALLOWED_DIAGNOSTICS.__contains__,
                   f"not one of {ALLOWED_DIAGNOSTICS}"), required=True)
-    j: float = _setting(1.0, float, *_POSITIVE)
-    seed: int = _setting(0, int)
-    workers: int = _setting(1, int, *_AT_LEAST_ONE)
-    edge_discard: float = _setting(0.1, float, lambda v: 0 <= v < 0.5,
+    j: float = _setting(1.0, _real, *_POSITIVE)
+    seed: int = _setting(0, _integer)
+    workers: int = _setting(1, _integer, *_AT_LEAST_ONE)
+    edge_discard: float = _setting(0.1, _real, lambda v: 0 <= v < 0.5,
                                    "must lie in [0, 0.5)")
-    central_window: float = _setting(0.8, float, lambda v: 0 < v <= 1,
+    central_window: float = _setting(0.8, _real, lambda v: 0 < v <= 1,
                                      "must lie in (0, 1]")
-    goe_reference: float = _setting(spectrum.R_GOE, float)
-    occupation_cap: int = _setting(3, int, *_AT_LEAST_ONE)
-    window_halfwidth: float = _setting(0.4, float, *_POSITIVE)
-    reference_u: float = _setting(0.5, float, *_NON_NEGATIVE)
-    reference_d: float = _setting(0.8, float, *_NON_NEGATIVE)
-    survival_sample_count: int = _setting(200, int, *_AT_LEAST_ONE)
-    entropy_sample_count: int = _setting(50, int, *_AT_LEAST_ONE)
+    goe_reference: float = _setting(spectrum.R_GOE, _real)
+    occupation_cap: int = _setting(3, _integer, *_AT_LEAST_ONE)
+    window_halfwidth: float = _setting(0.4, _real, *_POSITIVE)
+    reference_u: float = _setting(0.5, _real, *_NON_NEGATIVE)
+    reference_d: float = _setting(0.8, _real, *_NON_NEGATIVE)
+    survival_sample_count: int = _setting(200, _integer, *_AT_LEAST_ONE)
+    entropy_sample_count: int = _setting(50, _integer, *_AT_LEAST_ONE)
     imbalance_max_states: int | None = _setting(
-        None, _optional(int), lambda v: v is None or v >= 1,
+        None, _optional(_integer), lambda v: v is None or v >= 1,
         "must be >= 1 when set")
-    time_min: float = _setting(0.1, float, *_POSITIVE)
-    time_max: float = _setting(1.0e4, float)
-    time_points: int = _setting(400, int, *_AT_LEAST_ONE)
-    time_points_observables: int = _setting(400, int, *_AT_LEAST_ONE)
-    time_max_observables: float | None = _setting(None, _optional(float))
+    time_min: float = _setting(0.1, _real, *_POSITIVE)
+    time_max: float = _setting(1.0e4, _real)
+    time_points: int = _setting(400, _integer, *_AT_LEAST_ONE)
+    time_points_observables: int = _setting(400, _integer, *_AT_LEAST_ONE)
+    time_max_observables: float | None = _setting(None, _optional(_real))
     smoothing_window: int = _setting(
-        dynamics.DEFAULT_SMOOTHING_WINDOW, int,
+        dynamics.DEFAULT_SMOOTHING_WINDOW, _integer,
         lambda v: v >= 1 and v % 2 == 1, "must be odd and >= 1")
     hole_window: list = _setting(
-        dynamics.DEFAULT_HOLE_WINDOW, lambda v: [float(x) for x in v],
+        dynamics.DEFAULT_HOLE_WINDOW, lambda v: [_real(x) for x in _array(v)],
         lambda v: len(v) == 2 and 0 < v[0] < v[1],
         "expected [lo, hi] with 0 < lo < hi")
-    save_traces: bool = _setting(False, bool)
-    save_eigenstate_profiles: bool = _setting(False, bool)
-    eigenvalue_limit: int = _setting(spectrum.DENSE_EIGENVALUE_LIMIT, int)
-    eigenvector_limit: int = _setting(spectrum.DENSE_EIGENVECTOR_LIMIT, int)
-    cache_dir: str | None = _setting(None)
+    save_traces: bool = _setting(False, _flag)
+    save_eigenstate_profiles: bool = _setting(False, _flag)
+    eigenvalue_limit: int = _setting(spectrum.DENSE_EIGENVALUE_LIMIT, _integer)
+    eigenvector_limit: int = _setting(spectrum.DENSE_EIGENVECTOR_LIMIT, _integer)
+    cache_dir: str | None = _setting(None, _optional(_string))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -214,13 +249,6 @@ def load_config(path) -> dict:
     return raw
 
 
-def validate_and_echo_config(config_file, out_dir) -> SweepConfig:
-    """Load a JSON config, validate it, and echo the normalized form."""
-    config = SweepConfig.from_dict(load_config(config_file))
-    config.echo(out_dir)
-    return config
-
-
 # -- point configs -------------------------------------------------------------
 
 
@@ -242,13 +270,14 @@ def _command_keys(raw: dict, command: str) -> dict:
     """Remove the command's own keys from ``raw``; return them validated."""
     own = {key: raw.pop(key, default)
            for key, default in _COMMAND_KEYS[command].items()}
-    for key in own.keys() - {"observables"}:
-        own[key] = bool(own[key])
-    if "observables" in own:
-        own["observables"] = list(own["observables"])
-        for name in own["observables"]:
-            if name not in OBSERVABLES:
-                raise ConfigError(f"observables: unknown entry {name!r}")
+    for key, value in own.items():
+        try:
+            own[key] = _array(value) if key == "observables" else _flag(value)
+        except ValueError as err:
+            raise ConfigError(f"{key}: {err}") from None
+    for name in own.get("observables", ()):
+        if not isinstance(name, str) or name not in OBSERVABLES:
+            raise ConfigError(f"observables: unknown entry {name!r}")
     return own
 
 

@@ -1,6 +1,6 @@
 """Per-eigenstate static indicators: participation ratio, single-site
 entanglement entropy against its typical-state reference, and half-chain
-imbalance.
+imbalance, evaluated for all eigenstates at once.
 
 Because total boson number is fixed, the reduced density matrix of one
 site is diagonal in the occupation basis (the rest of the chain pins the
@@ -18,17 +18,14 @@ import numpy as np
 from scipy.special import xlogy
 
 from .basis import FockBasis
-from .spectrum import SpectralData
+from .spectrum import MissingEigenvectorsError, SpectralData, normalized_energies
 from .tables import write_table
 
 __all__ = [
     "NotNormalizedError",
     "EmptyWindowError",
-    "participation_ratio",
     "goe_participation_reference",
-    "single_site_entropy",
     "page_value",
-    "half_chain_imbalance",
     "left_half_site_count",
     "imbalance_diagonal",
     "occupation_onehot",
@@ -51,35 +48,9 @@ class EmptyWindowError(ValueError):
     pass
 
 
-def _probabilities(state) -> np.ndarray:
-    c = np.asarray(state)
-    p = np.abs(c) ** 2 if np.iscomplexobj(c) else c.astype(np.float64) ** 2
-    total = p.sum()
-    if abs(total - 1.0) > NORM_ATOL:
-        raise NotNormalizedError(f"state norm^2 = {total!r}, expected 1")
-    return p
-
-
-def participation_ratio(amplitudes) -> float:
-    """PR = 1 / sum_k |c_k|^4 of a normalized state; 1 (localized) to dim."""
-    p = _probabilities(amplitudes)
-    return float(1.0 / (p ** 2).sum())
-
-
 def goe_participation_reference(dim: int) -> float:
     """Delocalization reference for chaotic states, dim / 3."""
     return dim / 3.0
-
-
-def single_site_entropy(state, basis: FockBasis, site: int) -> float:
-    """Entanglement entropy (nats) between site ``site`` (0-based) and the rest."""
-    if not 0 <= site < basis.n_sites:
-        raise IndexError(f"site {site} out of range [0, {basis.n_sites})")
-    p = _probabilities(state)
-    occ_probs = np.bincount(
-        basis.states[:, site], weights=p, minlength=basis.n_bosons + 1
-    )
-    return float(-xlogy(occ_probs, occ_probs).sum())
 
 
 def page_value(n_bosons: int, n_sites: int) -> float:
@@ -108,12 +79,6 @@ def imbalance_diagonal(basis: FockBasis) -> np.ndarray:
     n_l = basis.states[:, :left].sum(axis=1)
     n_r = basis.states[:, left:].sum(axis=1)
     return (n_l - n_r) / float(basis.n_bosons)
-
-
-def half_chain_imbalance(state, basis: FockBasis) -> float:
-    """Expectation of (n_left - n_right)/N, in [-1, 1]."""
-    p = _probabilities(state)
-    return float(p @ imbalance_diagonal(basis))
 
 
 def occupation_onehot(basis: FockBasis) -> np.ndarray:
@@ -181,8 +146,6 @@ class EigenstateDiagnostics:
 def eigenstate_diagnostics(spectral: SpectralData,
                            chunk: int = 2048) -> EigenstateDiagnostics:
     """All static indicators for every eigenstate of a diagonalized point."""
-    from .dynamics import MissingEigenvectorsError  # local to avoid cycle
-
     if not spectral.has_vectors:
         raise MissingEigenvectorsError("eigenvectors required for diagnostics")
     basis = spectral.basis
@@ -214,8 +177,6 @@ def write_eigenstate_csv(path, eigenvalues, diag: EigenstateDiagnostics,
                          metadata: dict | None = None) -> None:
     """Per-state CSV: index, energy, normalized energy, PR, site entropies,
     entropy average, imbalance."""
-    from .spectrum import normalized_energies
-
     eps = normalized_energies(eigenvalues)
     sites = [f"s_site_{i + 1}" for i in range(diag.site_entropy.shape[1])]
     columns = ["index", "energy", "normalized_energy", "pr", *sites,

@@ -1,6 +1,6 @@
 """Quench dynamics by spectral decomposition: survival probability with its
 correlation hole, time-dependent entanglement entropy and imbalance, and
-the analytic dip-ramp-plateau curve.
+the analytic dip-ramp-plateau curve with its GOE two-level form factor.
 
 Time evolution is exact up to eigensolve accuracy: an initial Fock state
 |k> has eigenbasis coefficients c_m = V[k, m], and
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FockBasis
 from .diagnostics import (
     NORM_ATOL,
     NotNormalizedError,
@@ -38,32 +37,32 @@ from .diagnostics import (
     imbalance_diagonal,
     occupation_onehot,
 )
-from .rmt import b2_form_factor
-from .spectrum import DegenerateSpectrumError, SpectralData
+from .spectrum import (
+    DegenerateSpectrumError,
+    MissingEigenvectorsError,
+    SpectralData,
+)
 from .tables import write_table
 
 __all__ = [
     "TimeGrid",
     "log_time_grid",
-    "linear_time_grid",
     "QuenchTrace",
     "SurvivalAnalysis",
     "AnalyticCurveInputs",
-    "MissingEigenvectorsError",
     "WindowEmptyError",
     "DEFAULT_SMOOTHING_WINDOW",
     "DEFAULT_HOLE_WINDOW",
-    "evolve_amplitudes",
     "ensemble_amplitudes",
     "ensemble_ipr",
     "survival_probability",
     "moving_average",
     "survival_trace",
-    "fock_amplitudes_at",
     "observable_trace",
     "correlation_hole_depth",
     "estimate_curve_inputs",
     "ldos_fourier_survival",
+    "b2_form_factor",
     "analytic_survival_curve",
     "write_trace_csv",
 ]
@@ -77,10 +76,6 @@ RELAXATION_TAIL_POINTS = 10
 _TRACE_BUFFER_BYTES = 16 * 2 ** 20
 
 
-class MissingEigenvectorsError(ValueError):
-    pass
-
-
 class WindowEmptyError(ValueError):
     pass
 
@@ -90,7 +85,6 @@ class TimeGrid:
     """Strictly increasing times, in units of the inverse hopping."""
 
     points: np.ndarray
-    kind: str = "logarithmic"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -98,8 +92,6 @@ class TimeGrid:
             raise ValueError("time grid needs at least two points")
         if pts[0] < 0 or (np.diff(pts) <= 0).any():
             raise ValueError("times must be non-negative and strictly increasing")
-        if self.kind not in ("logarithmic", "linear"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -110,22 +102,10 @@ def log_time_grid(t_min: float = 0.1, t_max: float = 1.0e4,
                   n_points: int = 400) -> TimeGrid:
     if t_min <= 0:
         raise ValueError("logarithmic grids need t_min > 0")
-    return TimeGrid(np.geomspace(t_min, t_max, n_points), "logarithmic")
-
-
-def linear_time_grid(t_min: float, t_max: float, n_points: int) -> TimeGrid:
-    return TimeGrid(np.linspace(t_min, t_max, n_points), "linear")
+    return TimeGrid(np.geomspace(t_min, t_max, n_points))
 
 
 # -- amplitudes ------------------------------------------------------------
-
-
-def evolve_amplitudes(initial, spectral: SpectralData) -> np.ndarray:
-    """Eigenbasis coefficients c_m of a Fock initial state."""
-    if not spectral.has_vectors:
-        raise MissingEigenvectorsError("evolution requires eigenvectors")
-    k = spectral.basis.rank(initial)
-    return spectral.eigenvectors[k, :].copy()
 
 
 def ensemble_amplitudes(indices, spectral: SpectralData) -> np.ndarray:
@@ -225,19 +205,6 @@ def survival_trace(coefficients, eigenvalues, time_grid: TimeGrid,
     return QuenchTrace.from_values(time_grid, sp, "survival", smoothing_window)
 
 
-def fock_amplitudes_at(coefficients, spectral: SpectralData,
-                       time: float) -> np.ndarray:
-    """Complex Fock-basis amplitudes of evolved states at one time (rows)."""
-    if not spectral.has_vectors:
-        raise MissingEigenvectorsError("evolution requires eigenvectors")
-    c = np.atleast_2d(np.asarray(coefficients, dtype=np.float64))
-    phase = spectral.eigenvalues * time
-    a_re = c * np.cos(phase)
-    a_im = c * (-np.sin(phase))
-    vt = spectral.eigenvectors.T
-    return (a_re @ vt) + 1j * (a_im @ vt)
-
-
 def observable_trace(ensemble_indices, spectral: SpectralData,
                      time_grid: TimeGrid, observable: str,
                      smoothing_window: int = DEFAULT_SMOOTHING_WINDOW
@@ -252,8 +219,6 @@ def observable_trace(ensemble_indices, spectral: SpectralData,
     """
     if observable not in ("entropy", "imbalance"):
         raise ValueError(f"unknown observable {observable!r}")
-    if not spectral.has_vectors:
-        raise MissingEigenvectorsError("evolution requires eigenvectors")
     basis = spectral.basis
     coeff = ensemble_amplitudes(ensemble_indices, spectral)
     n_states, dim = coeff.shape
@@ -435,6 +400,28 @@ def ldos_fourier_survival(inputs: AnalyticCurveInputs, times) -> np.ndarray:
     rho_w = rho_w / rho_w.sum()  # exact unit mass so the curve starts at 1
     amp = np.exp(-1j * t[:, None] * grid[None, :]) @ rho_w
     return np.abs(amp) ** 2
+
+
+def b2_form_factor(tau):
+    """GOE two-level form factor b2(tau).
+
+    b2(0) = 1, decays monotonically to 0, continuous at tau = 1:
+
+        b2(tau) = 1 - 2 tau + tau ln(1 + 2 tau),            0 <= tau <= 1
+        b2(tau) = -1 + tau ln((2 tau + 1) / (2 tau - 1)),   tau > 1
+    """
+    t = np.asarray(tau, dtype=np.float64)
+    if (t < 0).any():
+        raise ValueError("form factor argument must be non-negative")
+    out = np.empty_like(t)
+    lo = t <= 1.0
+    tl = t[lo]
+    out[lo] = 1.0 - 2.0 * tl + tl * np.log1p(2.0 * tl)
+    th = t[~lo]
+    out[~lo] = -1.0 + th * np.log((2.0 * th + 1.0) / (2.0 * th - 1.0))
+    if np.ndim(tau) == 0:
+        return float(out)
+    return out
 
 
 def analytic_survival_curve(inputs: AnalyticCurveInputs, times) -> np.ndarray:

@@ -19,11 +19,10 @@ from .tables import write_table
 
 __all__ = [
     "R_GOE",
-    "R_GOE_SURMISE",
-    "R_GOE_LARGE",
     "R_POISSON",
     "SpectralData",
     "GapRatioStats",
+    "MissingEigenvectorsError",
     "DimensionTooLargeError",
     "ConvergenceError",
     "DegenerateSpectrumError",
@@ -36,10 +35,8 @@ __all__ = [
 ]
 
 # Mean consecutive-spacing ratio references.  Both 0.535 and 0.536 circulate
-# for the orthogonal ensemble at large size; 0.5307 is the 3x3 surmise value.
+# for the orthogonal ensemble at large size.
 R_GOE = 0.535
-R_GOE_SURMISE = 0.5307
-R_GOE_LARGE = 0.536
 R_POISSON = 0.386  # 2 ln 2 - 1 = 0.3863...
 
 DENSE_EIGENVALUE_LIMIT = 100_000
@@ -47,6 +44,10 @@ DENSE_EIGENVECTOR_LIMIT = 20_000
 
 # spacings below this fraction of the retained span count as degenerate
 DEGENERACY_TOL = 1e-12
+
+
+class MissingEigenvectorsError(ValueError):
+    pass
 
 
 class DimensionTooLargeError(ValueError):

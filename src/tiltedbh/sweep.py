@@ -29,7 +29,7 @@ import numpy as np
 
 from . import dynamics, hamiltonian, initial_states, spectrum
 from .basis import FockBasis, dimension
-from .config import ConfigError, SweepConfig, validate_and_echo_config
+from .config import SweepConfig
 from .diagnostics import (
     EigenstateDiagnostics,
     central_window_average,
@@ -43,9 +43,6 @@ from .spectrum import DimensionTooLargeError
 from .tables import write_json, write_table
 
 __all__ = [
-    "ConfigError",
-    "SweepConfig",
-    "validate_and_echo_config",
     "PointData",
     "run_point",
     "trace_summary",

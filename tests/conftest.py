@@ -3,6 +3,16 @@ they are used to check."""
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
+
+from tiltedbh.diagnostics import NORM_ATOL, NotNormalizedError
+from tiltedbh.dynamics import TimeGrid
+from tiltedbh.spectrum import MissingEigenvectorsError
+
+# Gap-ratio references besides the library's R_GOE: the 3x3 surmise value
+# and the other large-size value in circulation.
+R_GOE_SURMISE = 0.5307
+R_GOE_LARGE = 0.536
 
 
 def compositions(n, m):
@@ -64,3 +74,87 @@ def dense_partial_trace_entropy(state, states, site, n_bosons):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+# -- random-matrix references ------------------------------------------------
+
+
+def goe_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Real symmetric GOE sample: off-diagonal variance 1/2, diagonal variance 1."""
+    a = rng.standard_normal((dim, dim))
+    return (a + a.T) / 2.0
+
+
+def goe_spectrum(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return np.linalg.eigvalsh(goe_matrix(dim, rng))
+
+
+def poisson_spectrum(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted iid uniform levels on [0, dim), i.e. unit mean spacing."""
+    return np.sort(rng.uniform(0.0, float(dim), size=dim))
+
+
+# -- per-state indicators -----------------------------------------------------
+
+
+def _probabilities(state) -> np.ndarray:
+    c = np.asarray(state)
+    p = np.abs(c) ** 2 if np.iscomplexobj(c) else c.astype(np.float64) ** 2
+    total = p.sum()
+    if abs(total - 1.0) > NORM_ATOL:
+        raise NotNormalizedError(f"state norm^2 = {total!r}, expected 1")
+    return p
+
+
+def participation_ratio(amplitudes) -> float:
+    """PR = 1 / sum_k |c_k|^4 of a normalized state; 1 (localized) to dim."""
+    p = _probabilities(amplitudes)
+    return float(1.0 / (p ** 2).sum())
+
+
+def single_site_entropy(state, basis, site: int) -> float:
+    """Entanglement entropy (nats) between site ``site`` (0-based) and the rest."""
+    if not 0 <= site < basis.n_sites:
+        raise IndexError(f"site {site} out of range [0, {basis.n_sites})")
+    p = _probabilities(state)
+    occ_probs = np.bincount(
+        basis.states[:, site], weights=p, minlength=basis.n_bosons + 1
+    )
+    return float(-xlogy(occ_probs, occ_probs).sum())
+
+
+def half_chain_imbalance(state, basis) -> float:
+    """Expectation of (n_left - n_right)/N, in [-1, 1]; for odd chains the
+    left half holds the extra site."""
+    p = _probabilities(state)
+    left = (basis.n_sites + 1) // 2
+    n_l = basis.states[:, :left].sum(axis=1)
+    n_r = basis.states[:, left:].sum(axis=1)
+    return float(p @ ((n_l - n_r) / basis.n_bosons))
+
+
+# -- per-state evolution --------------------------------------------------------
+
+
+def linear_time_grid(t_min: float, t_max: float, n_points: int) -> TimeGrid:
+    return TimeGrid(np.linspace(t_min, t_max, n_points))
+
+
+def evolve_amplitudes(initial, spectral) -> np.ndarray:
+    """Eigenbasis coefficients c_m of a Fock initial state."""
+    if not spectral.has_vectors:
+        raise MissingEigenvectorsError("evolution requires eigenvectors")
+    k = spectral.basis.rank(initial)
+    return spectral.eigenvectors[k, :].copy()
+
+
+def fock_amplitudes_at(coefficients, spectral, time: float) -> np.ndarray:
+    """Complex Fock-basis amplitudes of evolved states at one time (rows)."""
+    if not spectral.has_vectors:
+        raise MissingEigenvectorsError("evolution requires eigenvectors")
+    c = np.atleast_2d(np.asarray(coefficients, dtype=np.float64))
+    phase = spectral.eigenvalues * time
+    a_re = c * np.cos(phase)
+    a_im = c * (-np.sin(phase))
+    vt = spectral.eigenvectors.T
+    return (a_re @ vt) + 1j * (a_im @ vt)

@@ -25,24 +25,27 @@ from tiltedbh import (
     dimension,
     ensemble_amplitudes,
     ensemble_ipr,
-    evolve_amplitudes,
-    goe_matrix,
-    goe_spectrum,
     log_time_grid,
     make_rng,
     maximally_imbalanced_states,
     mean_gap_ratio,
     page_value,
-    poisson_spectrum,
     run_chaos_map,
     run_cut,
-    single_site_entropy,
     survival_probability,
     survival_trace,
 )
-from tiltedbh.dynamics import fock_amplitudes_at, linear_time_grid
 
-from conftest import dense_partial_trace_entropy
+from conftest import (
+    dense_partial_trace_entropy,
+    evolve_amplitudes,
+    fock_amplitudes_at,
+    goe_matrix,
+    goe_spectrum,
+    linear_time_grid,
+    poisson_spectrum,
+    single_site_entropy,
+)
 
 SEED = 2024
 

@@ -209,10 +209,19 @@ def test_shipped_configs_load_through_the_schema(path):
 @pytest.mark.parametrize("bad", [{"time_mx": 50.0}, {"smoothing_window": 4},
                                  {"time_min": -1}, {"workers": 2},
                                  {"save_traces": True},
-                                 {"save_eigenstate_profiles": True}],
+                                 {"save_eigenstate_profiles": True},
+                                 {"seed": True}, {"time_points": 20.5},
+                                 {"hole_window": "19"},
+                                 {"u": float("inf")},
+                                 {"n_bosons": "3"},
+                                 {"export_matrix": "no"},
+                                 {"cache_dir": 5}],
                          ids=["typo", "even_window", "negative_time",
                               "workers", "save_traces",
-                              "save_eigenstate_profiles"])
+                              "save_eigenstate_profiles", "boolean_seed",
+                              "fractional_integer", "string_list",
+                              "infinite_energy", "string_size",
+                              "string_flag", "numeric_cache_dir"])
 def test_bad_point_config_exits_one_before_writing(tmp_path, capsys, command,
                                                    bad):
     cfg = _write(tmp_path / "c.json", {"n_bosons": 3, "n_sites": 3,
@@ -222,6 +231,43 @@ def test_bad_point_config_exits_one_before_writing(tmp_path, capsys, command,
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert "config error:" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [{"save_traces": "false"},
+                                 {"system_sizes": ["33"]},
+                                 {"workers": 1.5},
+                                 {"u_values": [float("inf")]}],
+                         ids=["string_flag", "string_size",
+                              "fractional_integer", "infinite_energy"])
+def test_bad_sweep_config_exits_one_before_writing(tmp_path, capsys, bad):
+    cfg = _write(tmp_path / "c.json", {
+        "system_sizes": [[3, 3]], "u_values": [0.5], "d_values": [0.5],
+        "diagnostics": ["gap_ratio"], **bad})
+    out = tmp_path / "out"
+    assert main(["cut", "--config", cfg, "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("basis", ["--seed", "5"]),
+    ("basis", ["--workers", "4"]),
+    ("basis", ["--resume"]),
+    ("spectrum", ["--resume"]),
+    ("eigenstates", ["--resume"]),
+    ("quench", ["--resume"]),
+], ids=["basis-seed", "basis-workers", "basis-resume", "spectrum-resume",
+        "eigenstates-resume", "quench-resume"])
+def test_flag_the_command_does_not_read_exits_one_before_writing(
+        tmp_path, capsys, command, flags):
+    point = {"n_bosons": 3, "n_sites": 3}
+    if command != "basis":
+        point.update(u=0.5, d=0.5)
+    cfg = _write(tmp_path / "c.json", point)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 1
+    assert f"config error: {flags[0]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_point_command_exits_two_without_outputs(tmp_path, capsys):

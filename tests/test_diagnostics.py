@@ -9,10 +9,7 @@ from tiltedbh import (
     diagonalize,
     eigenstate_diagnostics,
     goe_participation_reference,
-    half_chain_imbalance,
     page_value,
-    participation_ratio,
-    single_site_entropy,
 )
 from tiltedbh.diagnostics import (
     EmptyWindowError,
@@ -24,7 +21,12 @@ from tiltedbh.diagnostics import (
     write_eigenstate_csv,
 )
 
-from conftest import dense_partial_trace_entropy
+from conftest import (
+    dense_partial_trace_entropy,
+    half_chain_imbalance,
+    participation_ratio,
+    single_site_entropy,
+)
 
 
 def test_participation_ratio_examples():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from tiltedbh import b2_form_factor, goe_matrix, make_rng, poisson_spectrum
+from tiltedbh import b2_form_factor, make_rng
+
+from conftest import goe_matrix, poisson_spectrum
 
 
 def test_b2_boundary_values():

@@ -13,20 +13,18 @@ from tiltedbh import (
     build,
     chaos_distance,
     diagonalize,
-    goe_spectrum,
     make_rng,
     mean_gap_ratio,
     normalized_energies,
-    poisson_spectrum,
 )
 from tiltedbh.spectrum import (
     DegenerateSpectrumError,
     DegenerateSpectrumWarning,
     DimensionTooLargeError,
-    R_GOE_LARGE,
-    R_GOE_SURMISE,
     write_spectrum_csv,
 )
+
+from conftest import R_GOE_LARGE, R_GOE_SURMISE, goe_spectrum, poisson_spectrum
 
 from conftest import brute_force_dense
 

@@ -5,10 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from tiltedbh import SweepConfig, run_chaos_map, run_cut, validate_and_echo_config
+from tiltedbh import SweepConfig, run_chaos_map, run_cut
 from tiltedbh import spectrum
+from tiltedbh.config import ConfigError, load_config
 from tiltedbh.sweep import (
-    ConfigError,
     RESULT_COLUMNS,
     _worker_pool,
     cached_diagonalize,
@@ -70,7 +70,8 @@ def test_energies_normalized_to_unit_hopping():
 def test_echoed_config_revalidates_to_itself(tmp_path):
     cfg_file = tmp_path / "config.json"
     cfg_file.write_text(json.dumps(BASE))
-    config = validate_and_echo_config(cfg_file, tmp_path / "out")
+    config = SweepConfig.from_dict(load_config(cfg_file))
+    config.echo(tmp_path / "out")
     echoed = tmp_path / "out" / "config_normalized.json"
     assert echoed.exists()
     again = SweepConfig.from_dict({
