@@ -116,6 +116,20 @@ def _size_pair(pair) -> list:
     return [n, m]
 
 
+def _validated(name: str, value, convert=None, ok=None, rule=""):
+    """``value`` converted, and checked against ``ok``; a ConfigError
+    names ``name``."""
+    try:
+        if convert is not None:
+            value = convert(value)
+        good = ok is None or ok(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{name}: {err}") from None
+    if not good:
+        raise ConfigError(f"{name}: {rule}")
+    return value
+
+
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
@@ -184,15 +198,8 @@ class SweepConfig:
             value = raw.get(name, getattr(defaults, name))
             if meta["required"] and value in (None, []):
                 raise ConfigError(f"{name}: required and must be non-empty")
-            try:
-                if meta["convert"] is not None:
-                    value = meta["convert"](value)
-                ok = meta["ok"] is None or meta["ok"](value)
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"{name}: {err}") from None
-            if not ok:
-                raise ConfigError(f"{name}: {meta['rule']}")
-            values[name] = value
+            values[name] = _validated(name, value, meta["convert"],
+                                      meta["ok"], meta["rule"])
 
         if values["time_min"] >= values["time_max"]:
             raise ConfigError("time_min/time_max: need 0 < time_min < time_max")
@@ -271,10 +278,8 @@ def _command_keys(raw: dict, command: str) -> dict:
     own = {key: raw.pop(key, default)
            for key, default in _COMMAND_KEYS[command].items()}
     for key, value in own.items():
-        try:
-            own[key] = _array(value) if key == "observables" else _flag(value)
-        except ValueError as err:
-            raise ConfigError(f"{key}: {err}") from None
+        own[key] = _validated(key, value,
+                              _array if key == "observables" else _flag)
     for name in own.get("observables", ()):
         if not isinstance(name, str) or name not in OBSERVABLES:
             raise ConfigError(f"observables: unknown entry {name!r}")
@@ -288,14 +293,25 @@ def _required(raw: dict, keys) -> list:
     return [raw.pop(key) for key in keys]
 
 
+# the point keys, with the conversion and rule of the sweep field each fills
+_POINT_KEYS = {"n_bosons": (_integer, *_AT_LEAST_ONE),
+               "n_sites": (_integer, *_AT_LEAST_ONE),
+               "u": (_real, *_NON_NEGATIVE),
+               "d": (_real, *_NON_NEGATIVE)}
+
+
+def _point_values(raw: dict, keys) -> list:
+    """The point keys ``keys``, removed from ``raw``, converted and checked
+    under their own names."""
+    return [_validated(key, value, *_POINT_KEYS[key])
+            for key, value in zip(keys, _required(raw, keys))]
+
+
 def basis_config(raw: dict) -> tuple[int, int, dict]:
     """(N, M, own keys) of a ``basis`` config."""
     raw = dict(raw)
     own = _command_keys(raw, "basis")
-    try:
-        n, m = _size_pair(_required(raw, ("n_bosons", "n_sites")))
-    except ValueError as err:
-        raise ConfigError(f"n_bosons/n_sites: {err}") from None
+    n, m = _point_values(raw, ("n_bosons", "n_sites"))
     if raw:
         raise ConfigError(f"{next(iter(raw))}: unknown configuration field")
     return n, m, own
@@ -313,7 +329,7 @@ def point_config(raw: dict, command: str,
     keys.  Unknown keys and invalid values raise ConfigError."""
     raw = {**raw, **(overrides or {})}
     own = _command_keys(raw, command)
-    n, m, u, d = _required(raw, ("n_bosons", "n_sites", "u", "d"))
+    n, m, u, d = _point_values(raw, _POINT_KEYS)
     for key in _SWEEP_ONLY_KEYS:
         if key in raw:
             raise ConfigError(f"{key}: a sweep setting; point configs do "

@@ -42,6 +42,10 @@ R_POISSON = 0.386  # 2 ln 2 - 1 = 0.3863...
 DENSE_EIGENVALUE_LIMIT = 100_000
 DENSE_EIGENVECTOR_LIMIT = 20_000
 
+# the LAPACK driver of scipy.linalg.eigh, by whether vectors are computed:
+# divide and conquer with vectors, relatively robust representations without
+EIGH_DRIVER = {True: "evd", False: "evr"}
+
 # spacings below this fraction of the retained span count as degenerate
 DEGENERACY_TOL = 1e-12
 
@@ -106,17 +110,15 @@ def diagonalize(h: HamiltonianMatrix, compute_vectors: bool = True,
         )
     dense = h.to_dense().T
     try:
-        if compute_vectors:
-            vals, vecs = scipy.linalg.eigh(
-                dense, overwrite_a=True, check_finite=False, driver="evd"
-            )
-            return SpectralData(h.basis, h.params, vals, vecs)
-        vals = scipy.linalg.eigh(
-            dense, overwrite_a=True, check_finite=False, eigvals_only=True
+        solved = scipy.linalg.eigh(
+            dense, overwrite_a=True, check_finite=False,
+            eigvals_only=not compute_vectors,
+            driver=EIGH_DRIVER[compute_vectors]
         )
-        return SpectralData(h.basis, h.params, vals, None)
     except scipy.linalg.LinAlgError as err:
         raise ConvergenceError(f"eigensolver failed to converge: {err}") from err
+    vals, vecs = solved if compute_vectors else (solved, None)
+    return SpectralData(h.basis, h.params, vals, vecs)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ same per-point pipeline, ``run_point``.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import zipfile
@@ -28,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, hamiltonian, initial_states, spectrum
+from ._version import __version__
 from .basis import FockBasis, dimension
 from .config import SweepConfig
 from .diagnostics import (
@@ -80,11 +82,23 @@ def resolve_cache_dir(explicit=None) -> Path | None:
     return Path(cdir) if cdir else None
 
 
-def _read_entry(path: Path, dim: int, with_vectors: bool):
+def _entry_key(basis, params, with_vectors: bool) -> np.ndarray:
+    """What a cache entry holds: the point, the package version, the eigh
+    driver and whether eigenvectors are present."""
+    return np.array([str(basis.n_bosons), str(basis.n_sites),
+                     *(repr(float(x)) for x in (params.u, params.d, params.j)),
+                     __version__, spectrum.EIGH_DRIVER[with_vectors],
+                     str(with_vectors)])
+
+
+def _read_entry(path: Path, key: np.ndarray, dim: int, with_vectors: bool):
     """(eigenvalues, eigenvectors or None) from a cache entry, or None when
-    the entry is missing, unreadable or not of this dimension."""
+    the entry is missing, unreadable, not of this dimension or holds
+    another key."""
     try:
         with np.load(path) as data:
+            if not np.array_equal(data["key"], key):
+                return None
             values = data["eigenvalues"]
             vectors = data["eigenvectors"] if with_vectors else None
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
@@ -102,8 +116,9 @@ def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None,
 
     Cache entries are keyed by (N, M, U, D) so repeated diagnostics at the
     same point skip the eigensolve.  A value-only request is also served
-    from an entry that holds eigenvectors.  An entry that cannot be read
-    counts as a miss and is rewritten; entries are written to a temporary
+    from an entry that holds eigenvectors.  Each entry stores its
+    ``_entry_key``; an entry that cannot be read or whose key differs
+    counts as a miss and is rewritten.  Entries are written to a temporary
     file and renamed into place, so an interrupted write leaves none.
     """
     cdir = resolve_cache_dir(cache_dir)
@@ -111,8 +126,10 @@ def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None,
         stem = (f"eig_{basis.n_bosons}x{basis.n_sites}"
                 f"_u{params.u:.12g}_d{params.d:.12g}")
         path = cdir / f"{stem}_{'vec' if with_vectors else 'val'}.npz"
-        for entry in (path, cdir / f"{stem}_vec.npz"):
-            found = _read_entry(entry, basis.dim, with_vectors)
+        for entry, vectors in ((path, with_vectors),
+                               (cdir / f"{stem}_vec.npz", True)):
+            found = _read_entry(entry, _entry_key(basis, params, vectors),
+                                basis.dim, with_vectors)
             if found is not None:
                 return spectrum.SpectralData(basis, params, *found)
     h = hamiltonian.build(basis, params)
@@ -120,7 +137,8 @@ def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None,
         h, with_vectors, value_limit=value_limit, vector_limit=vector_limit)
     if cdir is not None:
         cdir.mkdir(parents=True, exist_ok=True)
-        payload = {"eigenvalues": spec.eigenvalues}
+        payload = {"key": _entry_key(basis, params, with_vectors),
+                   "eigenvalues": spec.eigenvalues}
         if with_vectors:
             payload["eigenvectors"] = spec.eigenvectors
         tmp = cdir / f".{path.name}.{os.getpid()}.tmp"
@@ -289,14 +307,14 @@ def trace_summary(trace, ensemble, hole=None) -> dict:
     return summary
 
 
-def _compute_point(config: SweepConfig, out_dir: Path, n: int, m: int,
-                   u: float, d: float, diags: tuple) -> dict:
-    """The (N, M, U, D) record, returned once the point's eigenstate
-    profile and trace files, if the config saves them, are in ``out_dir``."""
-    point = run_point(config, n, m, u, d, diags)
-    if point.record["status"] != "ok":
-        return point.record
-    stem = f"{n}x{m}_u{u:.6g}_d{d:.6g}"
+def _write_point_files(config: SweepConfig, out_dir: Path,
+                       point: PointData) -> dict:
+    """Write the point's eigenstate profile and trace files into
+    ``out_dir``, if the config saves them; return its record."""
+    rec = point.record
+    if rec["status"] != "ok":
+        return rec
+    stem = f"{rec['n_bosons']}x{rec['n_sites']}_u{rec['u']:.6g}_d{rec['d']:.6g}"
     metadata = config.metadata()
     if config.save_eigenstate_profiles and point.profiles is not None:
         (out_dir / "eigenstates").mkdir(exist_ok=True)
@@ -312,7 +330,42 @@ def _compute_point(config: SweepConfig, out_dir: Path, n: int, m: int,
             dynamics.write_trace_csv(out_dir / "traces" / f"{name}.csv", trace,
                                      metadata)
             write_json(out_dir / "traces" / f"{name}.json", summary, metadata)
-    return point.record
+    return rec
+
+
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _malloc_trim()
+
+
+def _release_freed_heap() -> None:
+    """Return the process's freed heap memory to the OS, where the C
+    library can; elsewhere do nothing."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
+def _compute_point(config: SweepConfig, out_dir: Path, n: int, m: int,
+                   u: float, d: float, diags: tuple) -> dict:
+    """The (N, M, U, D) record, returned once the point's eigenstate
+    profile and trace files, if the config saves them, are in ``out_dir``."""
+    try:
+        return _write_point_files(config, out_dir,
+                                  run_point(config, n, m, u, d, diags))
+    finally:
+        # the point's arrays are freed by now; glibc keeps their brk heap,
+        # where its mmap threshold, raised by the first freed eigenvector
+        # buffer, puts later work buffers, so the next point would start on it
+        _release_freed_heap()
 
 
 # -- journal / results persistence -------------------------------------------

@@ -215,13 +215,16 @@ def test_shipped_configs_load_through_the_schema(path):
                                  {"u": float("inf")},
                                  {"n_bosons": "3"},
                                  {"export_matrix": "no"},
-                                 {"cache_dir": 5}],
+                                 {"cache_dir": 5},
+                                 {"u": -1}, {"n_sites": 0}, {"d": "0.5"}],
                          ids=["typo", "even_window", "negative_time",
                               "workers", "save_traces",
                               "save_eigenstate_profiles", "boolean_seed",
                               "fractional_integer", "string_list",
                               "infinite_energy", "string_size",
-                              "string_flag", "numeric_cache_dir"])
+                              "string_flag", "numeric_cache_dir",
+                              "negative_energy", "zero_sites",
+                              "string_energy"])
 def test_bad_point_config_exits_one_before_writing(tmp_path, capsys, command,
                                                    bad):
     cfg = _write(tmp_path / "c.json", {"n_bosons": 3, "n_sites": 3,
@@ -229,7 +232,8 @@ def test_bad_point_config_exits_one_before_writing(tmp_path, capsys, command,
     out = tmp_path / "out"
     out.mkdir()
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
-    assert "config error:" in capsys.readouterr().err
+    # the message names the key the config holds, not a field it maps to
+    assert f"config error: {next(iter(bad))}:" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -287,4 +291,14 @@ def test_basis_config_typo_exits_one_before_writing(tmp_path):
                  {"n_bosons": 3, "n_sites": 3, "write_state": False})
     out = tmp_path / "out"
     assert main(["basis", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [{"n_bosons": "3"}, {"n_sites": 0}],
+                         ids=["string_size", "zero_sites"])
+def test_bad_basis_size_exits_one_naming_its_key(tmp_path, capsys, bad):
+    cfg = _write(tmp_path / "c.json", {"n_bosons": 3, "n_sites": 3, **bad})
+    out = tmp_path / "out"
+    assert main(["basis", "--config", cfg, "--out", str(out)]) == 1
+    assert f"config error: {next(iter(bad))}:" in capsys.readouterr().err
     assert not out.exists()

@@ -343,7 +343,8 @@ def test_journal_lines_that_do_not_decode_are_skipped(tmp_path, monkeypatch):
     assert len(records) == 3
 
 
-@pytest.mark.parametrize("damage", ["truncate", "wrong_size"])
+@pytest.mark.parametrize("damage", ["truncate", "wrong_size", "no_key",
+                                    "other_point"])
 def test_unreadable_cache_entry_is_a_miss_and_is_rewritten(tmp_path,
                                                            monkeypatch, damage):
     basis = FockBasis(3, 3)
@@ -352,8 +353,15 @@ def test_unreadable_cache_entry_is_a_miss_and_is_rewritten(tmp_path,
     entry = tmp_path / "eig_3x3_u0.7_d0.3_vec.npz"
     if damage == "truncate":
         entry.write_bytes(entry.read_bytes()[:entry.stat().st_size // 2])
-    else:
+    elif damage == "wrong_size":
         np.savez(entry, eigenvalues=np.zeros(4), eigenvectors=np.eye(4))
+    elif damage == "no_key":
+        np.savez(entry, eigenvalues=first.eigenvalues,
+                 eigenvectors=first.eigenvectors)
+    else:  # a whole entry of the same dimension, under this point's name
+        cached_diagonalize(basis, ModelParams(u=0.7, d=0.9), True,
+                           cache_dir=tmp_path)
+        os.replace(tmp_path / "eig_3x3_u0.7_d0.9_vec.npz", entry)
     solves = []
     real = spectrum.diagonalize
 
@@ -418,3 +426,32 @@ def test_dead_worker_fails_its_points_and_resume_recomputes_them(
     assert sorted(journaled) == d_values
     assert (out / "results.csv").read_bytes() == \
         (clean / "results.csv").read_bytes()
+
+
+def test_each_point_releases_freed_heap_failed_points_included(tmp_path,
+                                                                monkeypatch):
+    import tiltedbh.sweep as sweep_mod
+
+    released = []
+    monkeypatch.setattr(sweep_mod, "_release_freed_heap",
+                        lambda: released.append(1))
+    config = _config(d_values=[0.5])
+    config.u_values = [-1.0, 0.5, 1.0]  # the first point fails
+    records = run_cut(config, tmp_path / "out")
+    assert [r["status"] for r in records] == ["error", "ok", "ok"]
+    assert released == [1, 1, 1]
+
+
+def test_sweep_without_malloc_trim_gives_the_same_results(tmp_path,
+                                                          monkeypatch):
+    import ctypes
+
+    import tiltedbh.sweep as sweep_mod
+
+    run_cut(_config(), tmp_path / "with")
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert sweep_mod._malloc_trim() is None
+    monkeypatch.setattr(sweep_mod, "_MALLOC_TRIM", None)
+    run_cut(_config(), tmp_path / "without")
+    assert (tmp_path / "without" / "results.csv").read_bytes() == \
+        (tmp_path / "with" / "results.csv").read_bytes()
