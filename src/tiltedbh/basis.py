@@ -116,15 +116,7 @@ class FockBasis:
         """Canonical index of an occupation vector, computed in O(M)."""
         occ = np.asarray(occupations, dtype=np.int64)
         self._validate(occ)
-        m = self.n_sites
-        rank = 0
-        rem = self.n_bosons
-        for i in range(m - 1):
-            rest = m - i - 1
-            # number of states with a larger occupation at site i
-            rank += self._binom[rem - occ[i] - 1 + rest, rest]
-            rem -= occ[i]
-        return int(rank)
+        return int(self.ranks(occ)[0])
 
     def ranks(self, states) -> np.ndarray:
         """Vectorized :meth:`rank` for a (K, M) array of valid states."""
@@ -139,6 +131,7 @@ class FockBasis:
         rem = np.full(occ.shape[0], self.n_bosons, dtype=np.int64)
         for i in range(m - 1):
             rest = m - i - 1
+            # number of states with a larger occupation at site i
             rank += self._binom[rem - occ[:, i] - 1 + rest, rest]
             rem -= occ[:, i]
         return rank

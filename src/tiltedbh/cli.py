@@ -27,7 +27,6 @@ from pathlib import Path
 from . import dynamics, hamiltonian, initial_states, spectrum
 from .basis import FockBasis, dimension
 from .diagnostics import write_eigenstate_csv
-from .spectrum import DimensionTooLargeError
 from .config import (
     OBSERVABLES,
     ConfigError,
@@ -222,7 +221,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    except (DimensionTooLargeError, MemoryError) as err:
+    except MemoryError as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return 3
 

@@ -151,7 +151,7 @@ class SweepConfig:
         [], _each(str, ALLOWED_DIAGNOSTICS.__contains__,
                   f"not one of {ALLOWED_DIAGNOSTICS}"), required=True)
     j: float = _setting(1.0, _real, *_POSITIVE)
-    seed: int = _setting(0, _integer)
+    seed: int = _setting(0, _integer, *_NON_NEGATIVE)
     workers: int = _setting(1, _integer, *_AT_LEAST_ONE)
     edge_discard: float = _setting(0.1, _real, lambda v: 0 <= v < 0.5,
                                    "must lie in [0, 0.5)")
@@ -181,8 +181,10 @@ class SweepConfig:
         "expected [lo, hi] with 0 < lo < hi")
     save_traces: bool = _setting(False, _flag)
     save_eigenstate_profiles: bool = _setting(False, _flag)
-    eigenvalue_limit: int = _setting(spectrum.DENSE_EIGENVALUE_LIMIT, _integer)
-    eigenvector_limit: int = _setting(spectrum.DENSE_EIGENVECTOR_LIMIT, _integer)
+    eigenvalue_limit: int = _setting(spectrum.DENSE_EIGENVALUE_LIMIT, _integer,
+                                     *_AT_LEAST_ONE)
+    eigenvector_limit: int = _setting(spectrum.DENSE_EIGENVECTOR_LIMIT,
+                                      _integer, *_AT_LEAST_ONE)
     cache_dir: str | None = _setting(None, _optional(_string))
 
     @classmethod
@@ -264,33 +266,24 @@ OBSERVABLES = {"survival": "survival", "entropy": "entropy_dynamics",
                "imbalance": "imbalance_dynamics"}
 
 # the keys each point command reads besides its point and the sweep fields,
-# with their defaults
+# with their defaults and conversions
 _COMMAND_KEYS = {
-    "basis": {"write_states": True},
-    "spectrum": {"export_matrix": False},
+    "basis": {"write_states": (True, _flag)},
+    "spectrum": {"export_matrix": (False, _flag)},
     "eigenstates": {},
-    "quench": {"observables": list(OBSERVABLES), "include_analytic": True},
+    "quench": {
+        "observables": (list(OBSERVABLES),
+                        _each(str, OBSERVABLES.__contains__,
+                              f"not one of {tuple(OBSERVABLES)}")),
+        "include_analytic": (True, _flag),
+    },
 }
 
 
 def _command_keys(raw: dict, command: str) -> dict:
     """Remove the command's own keys from ``raw``; return them validated."""
-    own = {key: raw.pop(key, default)
-           for key, default in _COMMAND_KEYS[command].items()}
-    for key, value in own.items():
-        own[key] = _validated(key, value,
-                              _array if key == "observables" else _flag)
-    for name in own.get("observables", ()):
-        if not isinstance(name, str) or name not in OBSERVABLES:
-            raise ConfigError(f"observables: unknown entry {name!r}")
-    return own
-
-
-def _required(raw: dict, keys) -> list:
-    for key in keys:
-        if key not in raw:
-            raise ConfigError(f"{key}: required field missing")
-    return [raw.pop(key) for key in keys]
+    return {key: _validated(key, raw.pop(key, default), convert)
+            for key, (default, convert) in _COMMAND_KEYS[command].items()}
 
 
 # the point keys, with the conversion and rule of the sweep field each fills
@@ -303,8 +296,10 @@ _POINT_KEYS = {"n_bosons": (_integer, *_AT_LEAST_ONE),
 def _point_values(raw: dict, keys) -> list:
     """The point keys ``keys``, removed from ``raw``, converted and checked
     under their own names."""
-    return [_validated(key, value, *_POINT_KEYS[key])
-            for key, value in zip(keys, _required(raw, keys))]
+    for key in keys:
+        if key not in raw:
+            raise ConfigError(f"{key}: required field missing")
+    return [_validated(key, raw.pop(key), *_POINT_KEYS[key]) for key in keys]
 
 
 def basis_config(raw: dict) -> tuple[int, int, dict]:

@@ -342,19 +342,16 @@ def _gaussian_kde(grid: np.ndarray, centers: np.ndarray,
     return out * norm
 
 
-def estimate_curve_inputs(coefficients, eigenvalues, *,
-                          grid_points: int = 2048,
-                          ldos_bandwidth: float | None = None,
-                          dos_bandwidth: float | None = None) -> AnalyticCurveInputs:
+def estimate_curve_inputs(coefficients, eigenvalues) -> AnalyticCurveInputs:
     """Kernel-smoothed densities and scalars from ensemble coefficients.
 
-    Bandwidths default to a Silverman-style rule on the (weighted) sample,
-    floored at twice the mean level spacing around the weight center so the
-    smoothed densities do not resolve individual levels.
+    The densities are sampled on 2048 energies.  Their bandwidths follow a
+    Silverman-style rule on the (weighted) sample, floored at twice the
+    mean level spacing around the weight center so the smoothed densities
+    do not resolve individual levels.
     """
-    w_rows = _weights(coefficients)
-    weights = w_rows.mean(axis=0)
-    ipr = float((w_rows ** 2).sum(axis=1).mean())
+    weights = _weights(coefficients).mean(axis=0)
+    ipr = ensemble_ipr(coefficients)
     energies = np.asarray(eigenvalues, dtype=np.float64)
     span = energies.max() - energies.min()
     if span <= 0:
@@ -368,14 +365,12 @@ def estimate_curve_inputs(coefficients, eigenvalues, *,
     floor = 2.0 * (central.max() - central.min()) / max(central.size - 1, 1)
     floor = max(floor, 1e-12 * span)
 
-    if ldos_bandwidth is None:
-        n_eff = 1.0 / (weights ** 2).sum()
-        ldos_bandwidth = max(0.9 * w_sd * n_eff ** (-0.2), floor)
-    if dos_bandwidth is None:
-        dos_bandwidth = max(0.9 * energies.std() * energies.size ** (-0.2), floor)
+    n_eff = 1.0 / (weights ** 2).sum()
+    ldos_bandwidth = max(0.9 * w_sd * n_eff ** (-0.2), floor)
+    dos_bandwidth = max(0.9 * energies.std() * energies.size ** (-0.2), floor)
 
     pad = 4.0 * max(ldos_bandwidth, dos_bandwidth)
-    grid = np.linspace(energies.min() - pad, energies.max() + pad, grid_points)
+    grid = np.linspace(energies.min() - pad, energies.max() + pad, 2048)
     rho = _gaussian_kde(grid, energies, weights, ldos_bandwidth)
     level_weights = np.full(energies.size, 1.0)
     dos = _gaussian_kde(grid, energies, level_weights, dos_bandwidth)

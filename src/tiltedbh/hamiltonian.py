@@ -124,12 +124,11 @@ def build(basis: FockBasis, params: ModelParams) -> HamiltonianMatrix:
     m = basis.n_sites
     diag = diagonal_energies(states, params)
 
-    rows_parts, cols_parts, vals_parts = [], [], []
+    rows_parts = [np.empty(0, dtype=np.int64)]
+    cols_parts = [np.empty(0, dtype=np.int64)]
+    vals_parts = [np.empty(0, dtype=np.float64)]
     for i in range(m - 1):
-        n_here = states[:, i].astype(np.int64)
-        movable = n_here > 0
-        if not movable.any():
-            continue
+        movable = states[:, i] > 0
         src = np.nonzero(movable)[0]
         moved = states[movable].astype(np.int64)
         weight = moved[:, i] * (moved[:, i + 1] + 1)
@@ -143,12 +142,6 @@ def build(basis: FockBasis, params: ModelParams) -> HamiltonianMatrix:
         cols_parts.append(dst)
         vals_parts.append(-params.j * np.sqrt(weight.astype(np.float64)))
 
-    if rows_parts:
-        rows = np.concatenate(rows_parts)
-        cols = np.concatenate(cols_parts)
-        vals = np.concatenate(vals_parts)
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-        vals = np.empty(0, dtype=np.float64)
-    return HamiltonianMatrix(basis, params, diag, rows, cols, vals)
+    return HamiltonianMatrix(basis, params, diag, np.concatenate(rows_parts),
+                             np.concatenate(cols_parts),
+                             np.concatenate(vals_parts))

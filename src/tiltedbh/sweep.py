@@ -77,6 +77,12 @@ RESULT_COLUMNS = [
 # -- eigendata cache --------------------------------------------------------
 
 
+def _point_stem(n, m, u, d) -> str:
+    """The name part a point's eigendata cache entries and per-point files
+    share; 12 significant digits tell apart points that 6 would merge."""
+    return f"{n}x{m}_u{u:.12g}_d{d:.12g}"
+
+
 def resolve_cache_dir(explicit=None) -> Path | None:
     cdir = explicit or os.environ.get(CACHE_DIR_ENV)
     return Path(cdir) if cdir else None
@@ -123,13 +129,12 @@ def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None,
     """
     cdir = resolve_cache_dir(cache_dir)
     if cdir is not None:
-        stem = (f"eig_{basis.n_bosons}x{basis.n_sites}"
-                f"_u{params.u:.12g}_d{params.d:.12g}")
-        path = cdir / f"{stem}_{'vec' if with_vectors else 'val'}.npz"
-        for entry, vectors in ((path, with_vectors),
-                               (cdir / f"{stem}_vec.npz", True)):
-            found = _read_entry(entry, _entry_key(basis, params, vectors),
-                                basis.dim, with_vectors)
+        stem = "eig_" + _point_stem(basis.n_bosons, basis.n_sites,
+                                    params.u, params.d)
+        for vectors in (True,) if with_vectors else (False, True):
+            found = _read_entry(
+                cdir / f"{stem}_{'vec' if vectors else 'val'}.npz",
+                _entry_key(basis, params, vectors), basis.dim, with_vectors)
             if found is not None:
                 return spectrum.SpectralData(basis, params, *found)
     h = hamiltonian.build(basis, params)
@@ -141,6 +146,7 @@ def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None,
                    "eigenvalues": spec.eigenvalues}
         if with_vectors:
             payload["eigenvectors"] = spec.eigenvectors
+        path = cdir / f"{stem}_{'vec' if with_vectors else 'val'}.npz"
         tmp = cdir / f".{path.name}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:  # a handle: savez adds no suffix
@@ -314,7 +320,7 @@ def _write_point_files(config: SweepConfig, out_dir: Path,
     rec = point.record
     if rec["status"] != "ok":
         return rec
-    stem = f"{rec['n_bosons']}x{rec['n_sites']}_u{rec['u']:.6g}_d{rec['d']:.6g}"
+    stem = _point_stem(rec["n_bosons"], rec["n_sites"], rec["u"], rec["d"])
     metadata = config.metadata()
     if config.save_eigenstate_profiles and point.profiles is not None:
         (out_dir / "eigenstates").mkdir(exist_ok=True)
@@ -440,15 +446,20 @@ def _worker_pool(workers: int, calls: list):
         yield futures
 
 
-def _run_points(config: SweepConfig, out_dir, points, diags,
-                resume: bool) -> list:
+def _run_points(config: SweepConfig, out_dir, diags, resume: bool) -> list:
+    """Run the diagnostics ``diags`` at every (N, M, U, D) of the config's
+    grid and write ``results.csv``; return the records."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metadata = config.metadata()
-    chash = config.config_hash
+    chash = metadata["config_hash"]
     _trim_journal(out / "records.jsonl")
     done = _load_journal(out, chash) if resume else {}
-    pending = [p for p in points if _point_key(*p) not in done]
+    pending = [(n, m, u, d)
+               for (n, m) in config.system_sizes
+               for u in config.u_values
+               for d in config.d_values
+               if _point_key(n, m, u, d) not in done]
     records = list(done.values())
 
     def finish(point, record):
@@ -485,17 +496,9 @@ def _run_points(config: SweepConfig, out_dir, points, diags,
     return records
 
 
-def _grid_points(config: SweepConfig) -> list:
-    return [(n, m, u, d)
-            for (n, m) in config.system_sizes
-            for u in config.u_values
-            for d in config.d_values]
-
-
 def run_chaos_map(config: SweepConfig, out_dir, resume: bool = False) -> list:
     """Gap-ratio map over the full (U, D) grid, eigenvalues only."""
-    return _run_points(config, out_dir, _grid_points(config), ("gap_ratio",),
-                       resume)
+    return _run_points(config, out_dir, ("gap_ratio",), resume)
 
 
 def run_cut(config: SweepConfig, out_dir, resume: bool = False) -> list:
@@ -504,8 +507,7 @@ def run_cut(config: SweepConfig, out_dir, resume: bool = False) -> list:
     The cut runs over the cartesian product of ``u_values`` and
     ``d_values``; a cut in the usual sense fixes one list to length 1.
     """
-    return _run_points(config, out_dir, _grid_points(config),
-                       tuple(config.diagnostics), resume)
+    return _run_points(config, out_dir, tuple(config.diagnostics), resume)
 
 
 def exit_code_for(records: list) -> int:

@@ -216,7 +216,10 @@ def test_shipped_configs_load_through_the_schema(path):
                                  {"n_bosons": "3"},
                                  {"export_matrix": "no"},
                                  {"cache_dir": 5},
-                                 {"u": -1}, {"n_sites": 0}, {"d": "0.5"}],
+                                 {"u": -1}, {"n_sites": 0}, {"d": "0.5"},
+                                 {"seed": -1}, {"eigenvector_limit": 0},
+                                 {"time_max_observables": 0.05},
+                                 {"observables": ["entropy", "spin"]}],
                          ids=["typo", "even_window", "negative_time",
                               "workers", "save_traces",
                               "save_eigenstate_profiles", "boolean_seed",
@@ -224,7 +227,10 @@ def test_shipped_configs_load_through_the_schema(path):
                               "infinite_energy", "string_size",
                               "string_flag", "numeric_cache_dir",
                               "negative_energy", "zero_sites",
-                              "string_energy"])
+                              "string_energy", "negative_seed",
+                              "zero_vector_limit",
+                              "observable_time_below_min",
+                              "unknown_observable"])
 def test_bad_point_config_exits_one_before_writing(tmp_path, capsys, command,
                                                    bad):
     cfg = _write(tmp_path / "c.json", {"n_bosons": 3, "n_sites": 3,
@@ -237,16 +243,24 @@ def test_bad_point_config_exits_one_before_writing(tmp_path, capsys, command,
     assert list(out.iterdir()) == []
 
 
+_SWEEP = {"system_sizes": [[3, 3]], "u_values": [0.5], "d_values": [0.5],
+          "diagnostics": ["gap_ratio"]}
+
+
 @pytest.mark.parametrize("bad", [{"save_traces": "false"},
                                  {"system_sizes": ["33"]},
                                  {"workers": 1.5},
-                                 {"u_values": [float("inf")]}],
+                                 {"u_values": [float("inf")]},
+                                 {"seed": -1}, {"eigenvector_limit": 0},
+                                 {"time_max": 0.05},
+                                 [_SWEEP]],
                          ids=["string_flag", "string_size",
-                              "fractional_integer", "infinite_energy"])
+                              "fractional_integer", "infinite_energy",
+                              "negative_seed", "zero_vector_limit",
+                              "time_max_below_min", "json_array"])
 def test_bad_sweep_config_exits_one_before_writing(tmp_path, capsys, bad):
-    cfg = _write(tmp_path / "c.json", {
-        "system_sizes": [[3, 3]], "u_values": [0.5], "d_values": [0.5],
-        "diagnostics": ["gap_ratio"], **bad})
+    cfg = _write(tmp_path / "c.json",
+                 {**_SWEEP, **bad} if isinstance(bad, dict) else bad)
     out = tmp_path / "out"
     assert main(["cut", "--config", cfg, "--out", str(out)]) == 1
     assert "config error:" in capsys.readouterr().err
@@ -271,6 +285,20 @@ def test_flag_the_command_does_not_read_exits_one_before_writing(
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out), *flags]) == 1
     assert f"config error: {flags[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "eigenstates", "quench",
+                                     "chaos-map", "cut"])
+def test_negative_seed_flag_exits_one_before_writing(tmp_path, capsys,
+                                                     command):
+    point = {"n_bosons": 3, "n_sites": 3, "u": 0.5, "d": 0.5}
+    cfg = _write(tmp_path / "c.json",
+                 _SWEEP if command in ("chaos-map", "cut") else point)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--seed", "-1"]) == 1
+    assert "config error: seed:" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from tiltedbh import spectrum
 from tiltedbh.config import ConfigError, load_config
 from tiltedbh.sweep import (
     RESULT_COLUMNS,
+    _entry_key,
     _worker_pool,
     cached_diagonalize,
     exit_code_for,
@@ -160,6 +161,22 @@ def test_cut_with_dynamics_and_artifacts(tmp_path):
     assert sidecar["n_states"] == 6
     assert "hole_depth" in sidecar and "config_hash" in sidecar
     assert sidecar["protocol"]["rng_seed"] == 5
+
+
+def test_points_that_agree_to_six_digits_get_files_of_their_own(tmp_path):
+    config = _config(d_values=[0.1000001, 0.1000002],
+                     diagnostics=["pr", "survival"], survival_sample_count=3,
+                     time_points=20, save_traces=True,
+                     save_eigenstate_profiles=True)
+    records = run_cut(config, tmp_path / "out")
+    assert [r["status"] for r in records] == ["ok", "ok"]
+    out = tmp_path / "out"
+    for stem in ("3x3_u0.5_d0.1000001", "3x3_u0.5_d0.1000002"):
+        for name in (f"traces/survival_{stem}.csv",
+                     f"traces/survival_{stem}.json", f"eigenstates/{stem}.csv"):
+            assert (out / name).exists(), name
+    assert len(list((out / "traces").iterdir())) == 4
+    assert len(list((out / "eigenstates").iterdir())) == 2
 
 
 def test_dimension_limit_points_are_skipped(tmp_path):
@@ -343,8 +360,8 @@ def test_journal_lines_that_do_not_decode_are_skipped(tmp_path, monkeypatch):
     assert len(records) == 3
 
 
-@pytest.mark.parametrize("damage", ["truncate", "wrong_size", "no_key",
-                                    "other_point"])
+@pytest.mark.parametrize("damage", ["truncate", "wrong_size", "wrong_shape",
+                                    "no_key", "other_point"])
 def test_unreadable_cache_entry_is_a_miss_and_is_rewritten(tmp_path,
                                                            monkeypatch, damage):
     basis = FockBasis(3, 3)
@@ -355,6 +372,10 @@ def test_unreadable_cache_entry_is_a_miss_and_is_rewritten(tmp_path,
         entry.write_bytes(entry.read_bytes()[:entry.stat().st_size // 2])
     elif damage == "wrong_size":
         np.savez(entry, eigenvalues=np.zeros(4), eigenvectors=np.eye(4))
+    elif damage == "wrong_shape":  # this point's key, too few eigenvalues
+        np.savez(entry, key=_entry_key(basis, params, True),
+                 eigenvalues=first.eigenvalues[:4],
+                 eigenvectors=first.eigenvectors)
     elif damage == "no_key":
         np.savez(entry, eigenvalues=first.eigenvalues,
                  eigenvectors=first.eigenvectors)
@@ -378,6 +399,18 @@ def test_unreadable_cache_entry_is_a_miss_and_is_rewritten(tmp_path,
     assert solves == [1]
     assert np.array_equal(served.eigenvectors, first.eigenvectors)
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+
+def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    def interrupted(fh, **payload):
+        fh.write(b"partial")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(np, "savez", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cached_diagonalize(FockBasis(3, 3), ModelParams(u=0.7, d=0.3), True,
+                           cache_dir=tmp_path / "cache")
+    assert list((tmp_path / "cache").iterdir()) == []
 
 
 def _die_at_d_0_9(config, out_dir, n, m, u, d, diags):
