@@ -266,7 +266,7 @@ OBSERVABLES = {"survival": "survival", "entropy": "entropy_dynamics",
                "imbalance": "imbalance_dynamics"}
 
 # the keys each point command reads besides its point and the sweep fields,
-# with their defaults and conversions
+# with their defaults, conversions and, for some, the condition and rule
 _COMMAND_KEYS = {
     "basis": {"write_states": (True, _flag)},
     "spectrum": {"export_matrix": (False, _flag)},
@@ -274,7 +274,8 @@ _COMMAND_KEYS = {
     "quench": {
         "observables": (list(OBSERVABLES),
                         _each(str, OBSERVABLES.__contains__,
-                              f"not one of {tuple(OBSERVABLES)}")),
+                              f"not one of {tuple(OBSERVABLES)}"),
+                        bool, "must be non-empty"),
         "include_analytic": (True, _flag),
     },
 }
@@ -282,8 +283,8 @@ _COMMAND_KEYS = {
 
 def _command_keys(raw: dict, command: str) -> dict:
     """Remove the command's own keys from ``raw``; return them validated."""
-    return {key: _validated(key, raw.pop(key, default), convert)
-            for key, (default, convert) in _COMMAND_KEYS[command].items()}
+    return {key: _validated(key, raw.pop(key, default), *checks)
+            for key, (default, *checks) in _COMMAND_KEYS[command].items()}
 
 
 # the point keys, with the conversion and rule of the sweep field each fills

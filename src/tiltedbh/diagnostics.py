@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import log, log1p
 
 import numpy as np
-from scipy.special import xlogy
 
 from .basis import FockBasis
 from .spectrum import MissingEigenvectorsError, SpectralData, normalized_energies
@@ -109,6 +108,9 @@ def occupation_distributions(probabilities, basis: FockBasis) -> np.ndarray:
 
 def entropy_from_distributions(distributions) -> np.ndarray:
     """-sum_n p_n ln p_n over the last axis, with 0 ln 0 = 0."""
+    # imported here, so that processes that never take an entropy (chaos
+    # maps, spawned map workers) do not load scipy.special
+    from scipy.special import xlogy
     d = np.asarray(distributions)
     return -xlogy(d, d).sum(axis=-1)
 

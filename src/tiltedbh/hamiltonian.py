@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import FockBasis
 from .tables import write_table
@@ -85,14 +84,16 @@ class HamiltonianMatrix:
         """tr(H^2) = sum diag^2 + 2 sum (upper off-diagonal)^2."""
         return float((self.diagonal ** 2).sum() + 2.0 * (self.values ** 2).sum())
 
-    def to_sparse(self) -> sp.csr_matrix:
+    def to_sparse(self) -> scipy.sparse.csr_matrix:
         """Full symmetric CSR matrix (both triangles explicit)."""
+        import scipy.sparse  # only callers of this method need it
         d = self.dim
         idx = np.arange(d)
         rows = np.concatenate([idx, self.rows, self.cols])
         cols = np.concatenate([idx, self.cols, self.rows])
         vals = np.concatenate([self.diagonal, self.values, self.values])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(d, d)).tocsr()
+        return scipy.sparse.coo_matrix((vals, (rows, cols)),
+                                       shape=(d, d)).tocsr()
 
     def to_dense(self) -> np.ndarray:
         h = np.zeros((self.dim, self.dim))

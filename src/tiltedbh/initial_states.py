@@ -141,6 +141,13 @@ def maximally_imbalanced_states(basis: FockBasis, *, occupation_cap: int,
     ok &= (basis.states <= occupation_cap).all(axis=1)
     chosen = np.nonzero(ok)[0]
     n_qualifying = int(chosen.size)
+    if not n_qualifying:
+        capacity = (basis.n_sites - left) * occupation_cap
+        raise InsufficientCandidatesError(
+            f"no state holds all {basis.n_bosons} bosons on the right half: "
+            f"its {basis.n_sites - left} sites take at most {capacity} "
+            f"under occupation_cap {occupation_cap}"
+        )
     if max_states is not None and chosen.size > max_states:
         rng = make_rng(seed)
         pick = rng.choice(chosen.size, size=max_states,

@@ -7,6 +7,7 @@ which is independent of the density of states, so no unfolding is needed.
 
 from __future__ import annotations
 
+import mmap
 import warnings
 from dataclasses import dataclass
 
@@ -92,15 +93,38 @@ class SpectralData:
         return self.eigenvectors is not None
 
 
+def _upper_triangle_in_fresh_pages(h: HamiltonianMatrix) -> np.ndarray:
+    """H's diagonal and stored upper triangle in an n x n C-order array,
+    the strict lower triangle left zero, in a fresh anonymous mapping.
+
+    A page of such a mapping becomes resident when it is first touched, so
+    pages that lie wholly in the strict lower triangle take no memory until
+    something reads them.  ``np.zeros`` gives no such guarantee: glibc may
+    serve the matrix from heap it already holds and clear all of it.  No
+    huge pages are asked for: every 2 MiB of the matrix holds entries of
+    the stored triangle, so they would make all of it resident.
+    """
+    n = h.dim
+    # MAP_PRIVATE exists on POSIX only; elsewhere the plain anonymous mapping
+    flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    a = np.frombuffer(mmap.mmap(-1, 8 * n * n, **flags),
+                      dtype=np.float64).reshape(n, n)
+    a[np.arange(n), np.arange(n)] = h.diagonal
+    a[h.rows, h.cols] = h.values
+    return a
+
+
 def diagonalize(h: HamiltonianMatrix, compute_vectors: bool = True,
                 value_limit: int = DENSE_EIGENVALUE_LIMIT,
                 vector_limit: int = DENSE_EIGENVECTOR_LIMIT) -> SpectralData:
     """Dense symmetric eigensolve of the full Hamiltonian.
 
-    LAPACK works in the dense matrix's own buffer: H equals its transpose,
-    so the ``.T`` view is a column-major array holding the same numbers,
-    which LAPACK overwrites instead of copying.  The returned eigenvectors
-    occupy that buffer, in Fortran order.
+    LAPACK gets the column-major ``.T`` view of the upper triangle written
+    into fresh pages, whose lower triangle (``lower=True``) is the one it
+    reads, and overwrites that buffer instead of copying it.  Without
+    vectors, pages lying wholly in the other triangle never become
+    resident; with vectors, the returned eigenvectors fill the whole
+    buffer, in Fortran order.
     """
     limit = vector_limit if compute_vectors else value_limit
     if h.dim > limit:
@@ -108,10 +132,10 @@ def diagonalize(h: HamiltonianMatrix, compute_vectors: bool = True,
             f"dimension {h.dim} exceeds the dense limit {limit} "
             f"({'with' if compute_vectors else 'without'} eigenvectors)"
         )
-    dense = h.to_dense().T
+    dense = _upper_triangle_in_fresh_pages(h).T
     try:
         solved = scipy.linalg.eigh(
-            dense, overwrite_a=True, check_finite=False,
+            dense, lower=True, overwrite_a=True, check_finite=False,
             eigvals_only=not compute_vectors,
             driver=EIGH_DRIVER[compute_vectors]
         )

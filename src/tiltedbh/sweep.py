@@ -369,8 +369,8 @@ def _compute_point(config: SweepConfig, out_dir: Path, n: int, m: int,
                                   run_point(config, n, m, u, d, diags))
     finally:
         # the point's arrays are freed by now; glibc keeps their brk heap,
-        # where its mmap threshold, raised by the first freed eigenvector
-        # buffer, puts later work buffers, so the next point would start on it
+        # where its mmap threshold, raised by the first freed work buffer of
+        # up to 32 MiB, puts later ones, so the next point would start on it
         _release_freed_heap()
 
 

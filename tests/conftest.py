@@ -1,10 +1,16 @@
 """Shared test oracles, all independent of the library implementation paths
-they are used to check."""
+they are used to check, and a runner for code that needs a fresh process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import xlogy
 
+import tiltedbh
 from tiltedbh.diagnostics import NORM_ATOL, NotNormalizedError
 from tiltedbh.dynamics import TimeGrid
 from tiltedbh.spectrum import MissingEigenvectorsError
@@ -13,6 +19,18 @@ from tiltedbh.spectrum import MissingEigenvectorsError
 # and the other large-size value in circulation.
 R_GOE_SURMISE = 0.5307
 R_GOE_LARGE = 0.536
+
+
+def run_in_fresh_python(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter, which imports
+    the package from where the tests import it."""
+    src = str(Path(tiltedbh.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 def compositions(n, m):

@@ -219,7 +219,8 @@ def test_shipped_configs_load_through_the_schema(path):
                                  {"u": -1}, {"n_sites": 0}, {"d": "0.5"},
                                  {"seed": -1}, {"eigenvector_limit": 0},
                                  {"time_max_observables": 0.05},
-                                 {"observables": ["entropy", "spin"]}],
+                                 {"observables": ["entropy", "spin"]},
+                                 {"observables": []}],
                          ids=["typo", "even_window", "negative_time",
                               "workers", "save_traces",
                               "save_eigenstate_profiles", "boolean_seed",
@@ -230,7 +231,7 @@ def test_shipped_configs_load_through_the_schema(path):
                               "string_energy", "negative_seed",
                               "zero_vector_limit",
                               "observable_time_below_min",
-                              "unknown_observable"])
+                              "unknown_observable", "no_observables"])
 def test_bad_point_config_exits_one_before_writing(tmp_path, capsys, command,
                                                    bad):
     cfg = _write(tmp_path / "c.json", {"n_bosons": 3, "n_sites": 3,

@@ -106,9 +106,26 @@ def test_imbalanced_counts_match_polynomial_oracle():
         for n in range(1, 13):
             expected = int(poly[n]) if n < poly.size else 0
             basis = FockBasis(n, m)
+            if not expected:
+                with pytest.raises(InsufficientCandidatesError):
+                    maximally_imbalanced_states(
+                        basis, occupation_cap=3, max_states=None, seed=0)
+                continue
             got = len(maximally_imbalanced_states(
                 basis, occupation_cap=3, max_states=None, seed=0))
             assert got == expected, (n, m)
+
+
+def test_empty_imbalance_ensemble_is_an_error():
+    # N = 8, M = 4: the two right-half sites hold at most 6 bosons at cap 3
+    with pytest.raises(InsufficientCandidatesError,
+                       match=r"2 sites take at most 6 under occupation_cap 3"):
+        maximally_imbalanced_states(FockBasis(8, 4), occupation_cap=3,
+                                    max_states=None, seed=0)
+    # the same chain at cap 4 has one qualifying state, (0, 0, 4, 4)
+    ens = maximally_imbalanced_states(FockBasis(8, 4), occupation_cap=4,
+                                      max_states=None, seed=0)
+    assert ens.occupations.tolist() == [[0, 0, 4, 4]]
 
 
 def test_imbalanced_subsampling_is_seeded():

@@ -1,5 +1,6 @@
 """Guards on the names other code reaches: every exported name resolves,
-and every function the benchmark's tracer wraps exists."""
+every function the benchmark's tracer wraps exists, and importing the
+package and its CLI loads no scipy module that a chaos map does not use."""
 
 import importlib
 import importlib.util
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import tiltedbh
+
+from conftest import run_in_fresh_python
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -44,3 +47,26 @@ def test_every_traced_function_exists():
         if not callable(obj):
             missing.append(f"{module_name}.{attr}")
     assert not missing, f"traced functions missing: {missing}"
+
+
+_IMPORTS = """
+import math
+import sys
+
+import tiltedbh
+import tiltedbh.cli
+
+print(*[name for name in ("scipy.special", "scipy.sparse")
+        if name in sys.modules])
+from tiltedbh import FockBasis, ModelParams, build
+from tiltedbh.diagnostics import entropy_from_distributions
+
+assert entropy_from_distributions([0.5, 0.5, 0.0]) == math.log(2)
+h = build(FockBasis(3, 3), ModelParams(u=0.5, d=0.5))
+assert (h.to_sparse().toarray() == h.to_dense()).all()
+"""
+
+
+def test_package_import_loads_neither_scipy_special_nor_sparse():
+    # each is imported where it is used: by the entropies and to_sparse
+    assert run_in_fresh_python(_IMPORTS).split() == []

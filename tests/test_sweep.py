@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tiltedbh.sweep import (
     _worker_pool,
     cached_diagonalize,
     exit_code_for,
+    run_point,
 )
 from tiltedbh import FockBasis, ModelParams, build, diagonalize, mean_gap_ratio
 
@@ -205,6 +207,21 @@ def test_failed_points_are_recorded_not_raised(tmp_path):
     assert rows[0] == RESULT_COLUMNS
     assert all(len(row) == len(RESULT_COLUMNS) for row in rows)
     assert rows[1][RESULT_COLUMNS.index("error")] == records[0]["error"]
+
+
+def test_empty_imbalance_ensemble_is_a_point_error():
+    # N = 8 bosons, M = 4 sites: at the default occupation_cap 3 the two
+    # right-half sites hold at most 6, so no state qualifies
+    config = _config(system_sizes=[[8, 4]],
+                     diagnostics=["imbalance_dynamics"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        record = run_point(config, 8, 4, 0.5, 0.5,
+                           config.diagnostics).record
+    assert record["status"] == "error"
+    assert "InsufficientCandidatesError" in record["error"]
+    assert "occupation_cap 3" in record["error"]
+    assert exit_code_for([record]) == 2
 
 
 def test_parallel_workers_reproduce_serial_results(tmp_path):
