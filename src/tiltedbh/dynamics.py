@@ -112,22 +112,27 @@ def ensemble_amplitudes(indices, spectral: SpectralData) -> np.ndarray:
     """Coefficient rows, one per ensemble state (shape n_states x dim)."""
     if not spectral.has_vectors:
         raise MissingEigenvectorsError("evolution requires eigenvectors")
-    idx = np.asarray(indices, dtype=np.int64)
-    return spectral.eigenvectors[idx, :].copy()
+    # fancy indexing already returns a new C-order array
+    return spectral.eigenvectors[np.asarray(indices, dtype=np.int64), :]
 
 
 def _weights(coefficients) -> np.ndarray:
     c = np.atleast_2d(np.asarray(coefficients))
-    w = np.abs(c) ** 2
+    w = np.abs(c)
+    np.square(w, out=w)
     if (np.abs(w.sum(axis=1) - 1.0) > NORM_ATOL).any():
         raise NotNormalizedError("coefficient rows must be normalized")
     return w
 
 
+def _ipr(weights) -> float:
+    """Ensemble mean of sum_m w_m^2; squares ``weights`` in place."""
+    return float(np.square(weights, out=weights).sum(axis=1).mean())
+
+
 def ensemble_ipr(coefficients) -> float:
     """Ensemble mean of sum_m |c_m|^4, the survival-probability plateau."""
-    w = _weights(coefficients)
-    return float((w ** 2).sum(axis=1).mean())
+    return _ipr(_weights(coefficients))
 
 
 def survival_probability(coefficients, eigenvalues, times) -> np.ndarray:
@@ -138,10 +143,13 @@ def survival_probability(coefficients, eigenvalues, times) -> np.ndarray:
     """
     w = _weights(coefficients)
     t = times.points if isinstance(times, TimeGrid) else np.asarray(times)
-    phase = np.asarray(eigenvalues)[:, None] * t[None, :]
-    re = w @ np.cos(phase)
-    im = w @ np.sin(phase)
-    sp = re ** 2 + im ** 2
+    energies = np.asarray(eigenvalues, dtype=np.float64)
+    # one (dim, n_times) buffer holds the phases, then their cosines, then
+    # the phases again and their sines
+    phase = np.multiply.outer(energies, t)
+    re = w @ np.cos(phase, out=phase)
+    im = w @ np.sin(np.multiply.outer(energies, t, out=phase), out=phase)
+    sp = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
     if np.ndim(coefficients) == 1:
         return sp[0]
     return sp
@@ -337,8 +345,11 @@ def _gaussian_kde(grid: np.ndarray, centers: np.ndarray,
     norm = 1.0 / (np.sqrt(2.0 * np.pi) * bandwidth)
     for a in range(0, centers.size, chunk):
         b = min(a + chunk, centers.size)
-        z = (grid[:, None] - centers[None, a:b]) / bandwidth
-        out += (np.exp(-0.5 * z ** 2) @ weights[a:b])
+        z = np.subtract.outer(grid, centers[a:b])
+        z /= bandwidth
+        np.square(z, out=z)
+        z *= -0.5
+        out += np.exp(z, out=z) @ weights[a:b]
     return out * norm
 
 
@@ -350,8 +361,10 @@ def estimate_curve_inputs(coefficients, eigenvalues) -> AnalyticCurveInputs:
     mean level spacing around the weight center so the smoothed densities
     do not resolve individual levels.
     """
-    weights = _weights(coefficients).mean(axis=0)
-    ipr = ensemble_ipr(coefficients)
+    w = _weights(coefficients)
+    weights = w.mean(axis=0)
+    ipr = _ipr(w)
+    del w  # freed before the kernel blocks
     energies = np.asarray(eigenvalues, dtype=np.float64)
     span = energies.max() - energies.min()
     if span <= 0:
@@ -393,7 +406,8 @@ def ldos_fourier_survival(inputs: AnalyticCurveInputs, times) -> np.ndarray:
     quad[-1] = 0.5 * (grid[-1] - grid[-2])
     rho_w = inputs.ldos * quad
     rho_w = rho_w / rho_w.sum()  # exact unit mass so the curve starts at 1
-    amp = np.exp(-1j * t[:, None] * grid[None, :]) @ rho_w
+    phase = -1j * t[:, None] * grid[None, :]
+    amp = np.exp(phase, out=phase) @ rho_w
     return np.abs(amp) ** 2
 
 

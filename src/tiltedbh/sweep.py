@@ -257,6 +257,7 @@ def run_point(config: SweepConfig, n: int, m: int, u: float, d: float,
                 trace = traces["survival"] = dynamics.survival_trace(
                     coeff, spec.eigenvalues, grid, config.smoothing_window)
                 ipr = dynamics.ensemble_ipr(coeff)
+                del coeff  # freed before the traces allocate their buffers
                 hole = point.hole = dynamics.correlation_hole_depth(
                     trace, ipr, tuple(config.hole_window))
                 record["ipr"] = hole.ipr

@@ -12,7 +12,7 @@ from scipy.special import xlogy
 
 import tiltedbh
 from tiltedbh.diagnostics import NORM_ATOL, NotNormalizedError
-from tiltedbh.dynamics import TimeGrid
+from tiltedbh.dynamics import AnalyticCurveInputs, TimeGrid, b2_form_factor
 from tiltedbh.spectrum import MissingEigenvectorsError
 
 # Gap-ratio references besides the library's R_GOE: the 3x3 surmise value
@@ -176,3 +176,77 @@ def fock_amplitudes_at(coefficients, spectral, time: float) -> np.ndarray:
     a_im = c * (-np.sin(phase))
     vt = spectral.eigenvectors.T
     return (a_re @ vt) + 1j * (a_im @ vt)
+
+
+# -- survival probability and analytic curve, as plain expressions ------------
+# The library evaluates these with in-place buffers; the tests require
+# bit-identical results from the expressions below.
+
+
+def survival_probability_reference(coefficients, eigenvalues, times):
+    """(n_states, n_times) survival probabilities, w @ cos and w @ sin."""
+    w = np.abs(np.atleast_2d(coefficients)) ** 2
+    phase = np.asarray(eigenvalues)[:, None] * np.asarray(times)[None, :]
+    re = w @ np.cos(phase)
+    im = w @ np.sin(phase)
+    return re ** 2 + im ** 2
+
+
+def _gaussian_kde_reference(grid, centers, weights, bandwidth, chunk=512):
+    out = np.zeros_like(grid)
+    norm = 1.0 / (np.sqrt(2.0 * np.pi) * bandwidth)
+    for a in range(0, centers.size, chunk):
+        b = min(a + chunk, centers.size)
+        z = (grid[:, None] - centers[None, a:b]) / bandwidth
+        out += (np.exp(-0.5 * z ** 2) @ weights[a:b])
+    return out * norm
+
+
+def curve_inputs_reference(coefficients, eigenvalues) -> AnalyticCurveInputs:
+    """The library's estimate_curve_inputs, with the weights and the plateau
+    computed apart and every kernel as one expression."""
+    w = np.abs(np.atleast_2d(coefficients)) ** 2
+    weights = w.mean(axis=0)
+    ipr = float((w ** 2).sum(axis=1).mean())
+    energies = np.asarray(eigenvalues, dtype=np.float64)
+    span = energies.max() - energies.min()
+
+    w_mean = float(weights @ energies)
+    w_sd = float(np.sqrt(max(weights @ energies ** 2 - w_mean ** 2, 0.0)))
+    central = energies[np.abs(energies - w_mean) <= 2.0 * max(w_sd, 1e-12 * span)]
+    if central.size < 2:
+        central = energies
+    floor = 2.0 * (central.max() - central.min()) / max(central.size - 1, 1)
+    floor = max(floor, 1e-12 * span)
+
+    n_eff = 1.0 / (weights ** 2).sum()
+    ldos_bandwidth = max(0.9 * w_sd * n_eff ** (-0.2), floor)
+    dos_bandwidth = max(0.9 * energies.std() * energies.size ** (-0.2), floor)
+
+    pad = 4.0 * max(ldos_bandwidth, dos_bandwidth)
+    grid = np.linspace(energies.min() - pad, energies.max() + pad, 2048)
+    rho = _gaussian_kde_reference(grid, energies, weights, ldos_bandwidth)
+    dos = _gaussian_kde_reference(grid, energies, np.full(energies.size, 1.0),
+                                  dos_bandwidth)
+    dos = np.maximum(dos, 1e-300)
+
+    rho = rho / np.trapezoid(rho, grid)
+    eta = float(1.0 / np.trapezoid(rho ** 2 / dos, grid))
+    mean_dos = float(np.trapezoid(rho * dos, grid))
+    return AnalyticCurveInputs(grid, rho, mean_dos, eta, ipr)
+
+
+def analytic_curve_reference(inputs: AnalyticCurveInputs, times) -> np.ndarray:
+    """Dip-ramp-plateau curve with |sum rho_w exp(-i t E)|^2 as one expression."""
+    t = np.asarray(times)
+    grid = inputs.energy_grid
+    quad = np.empty_like(grid)
+    quad[1:-1] = 0.5 * (grid[2:] - grid[:-2])
+    quad[0] = 0.5 * (grid[1] - grid[0])
+    quad[-1] = 0.5 * (grid[-1] - grid[-2])
+    rho_w = inputs.ldos * quad
+    rho_w = rho_w / rho_w.sum()
+    spbc = np.abs(np.exp(-1j * t[:, None] * grid[None, :]) @ rho_w) ** 2
+    tau = t / (2.0 * np.pi * inputs.mean_dos)
+    prefactor = (1.0 - inputs.ipr) / (inputs.eta - 1.0)
+    return prefactor * (inputs.eta * spbc - b2_form_factor(tau)) + inputs.ipr

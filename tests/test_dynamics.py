@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,12 +36,15 @@ from tiltedbh.dynamics import (
 from tiltedbh.spectrum import MissingEigenvectorsError
 
 from conftest import (
+    analytic_curve_reference,
+    curve_inputs_reference,
     evolve_amplitudes,
     fock_amplitudes_at,
     goe_matrix,
     linear_time_grid,
     poisson_spectrum,
     single_site_entropy,
+    survival_probability_reference,
 )
 
 
@@ -409,3 +414,83 @@ def test_write_trace_csv(tmp_path):
     expected = np.column_stack(
         [grid.points, trace.ensemble_mean, trace.smoothed_mean])
     assert np.array_equal(np.array(rows), expected)
+
+
+# -- in-place evaluation: bit identity and memory bounds ---------------------
+
+
+@pytest.fixture(scope="module")
+def chaotic_55_rows():
+    """40 coefficient rows at a chaotic 5x5 point, real and times random
+    phases exp(1j theta)."""
+    spec = diagonalize(build(FockBasis(5, 5), ModelParams(u=0.5, d=0.5)))
+    rng = make_rng(5)
+    pick = np.sort(rng.choice(spec.dim, size=40, replace=False))
+    real = ensemble_amplitudes(pick, spec)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, real.shape))
+    return spec, {"real": real, "complex": real * phases}
+
+
+@pytest.mark.parametrize("rows", ["real", "complex"])
+def test_survival_and_analytic_curve_equal_plain_expressions(chaotic_55_rows,
+                                                             rows):
+    spec, coefficients = chaotic_55_rows
+    coeff, evals = coefficients[rows], spec.eigenvalues
+    grid = log_time_grid(0.1, 1e4, 300)
+    expected = survival_probability_reference(coeff, evals, grid.points)
+    assert np.array_equal(survival_probability(coeff, evals, grid), expected)
+    assert np.array_equal(
+        survival_probability(coeff[3], evals, grid),
+        survival_probability_reference(coeff[3], evals, grid.points)[0])
+    inputs = estimate_curve_inputs(coeff, evals)
+    reference = curve_inputs_reference(coeff, evals)
+    assert np.array_equal(inputs.energy_grid, reference.energy_grid)
+    assert np.array_equal(inputs.ldos, reference.ldos)
+    assert (inputs.mean_dos, inputs.eta, inputs.ipr) == \
+        (reference.mean_dos, reference.eta, reference.ipr)
+    assert inputs.ipr == ensemble_ipr(coeff)
+    assert np.array_equal(analytic_survival_curve(inputs, grid),
+                          analytic_curve_reference(inputs, grid.points))
+
+
+@pytest.fixture(scope="module")
+def rows_66():
+    """200 ensemble rows at 6x6 (dim 462) and a 400-point time grid."""
+    spec = diagonalize(build(FockBasis(6, 6), ModelParams(u=0.5, d=0.5)))
+    pick = np.sort(make_rng(6).choice(spec.dim, size=200, replace=False))
+    return spec, pick, log_time_grid(0.1, 1e4, 400)
+
+
+def _peak_doubles(fn) -> float:
+    """Peak memory traced while fn() runs, in float64 elements."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 8
+    finally:
+        tracemalloc.stop()
+
+
+def test_ensemble_amplitudes_allocate_one_row_block(rows_66):
+    spec, pick, _ = rows_66
+    peak = _peak_doubles(lambda: ensemble_amplitudes(pick, spec))
+    assert peak <= 1.1 * pick.size * spec.dim
+
+
+def test_survival_probability_holds_one_phase_buffer(rows_66):
+    spec, pick, grid = rows_66
+    coeff = ensemble_amplitudes(pick, spec)
+    s, dim, t = pick.size, spec.dim, len(grid)
+    peak = _peak_doubles(
+        lambda: survival_probability(coeff, spec.eigenvalues, grid))
+    # the weights, one (dim, T) phase buffer, and the re and im products
+    assert peak <= 1.1 * (s * dim + dim * t + 2 * s * t)
+
+
+def test_estimate_curve_inputs_holds_weights_or_one_kernel_block(rows_66):
+    spec, pick, _ = rows_66
+    coeff = ensemble_amplitudes(pick, spec)
+    peak = _peak_doubles(
+        lambda: estimate_curve_inputs(coeff, spec.eigenvalues))
+    # the weights, or one 2048 x 512 kernel block with room for a second
+    assert peak <= pick.size * spec.dim + 2 * 2048 * 512
