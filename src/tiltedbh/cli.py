@@ -36,7 +36,8 @@ from .config import (
     output_metadata,
     point_config,
 )
-from .sweep import exit_code_for, run_chaos_map, run_cut, run_point, trace_summary
+from .sweep import (exit_code_for, record_failures, run_chaos_map, run_cut,
+                    run_point, trace_summary)
 from .tables import write_json, write_table
 
 _STATE_TABLE_LIMIT = 100_000
@@ -117,23 +118,17 @@ def _write_eigenstates(out, config, point, own, meta) -> None:
 def _write_quench(out, config, point, own, meta) -> None:
     for name in own["observables"]:
         diag = OBSERVABLES[name]
-        ens, trace = point.ensembles[diag], point.traces[diag]
+        trace = point.traces[diag]
         initial_states.write_state_manifest(
-            out / f"{name}_states.json", ens, meta)
+            out / f"{name}_states.json", point.ensembles[diag], meta)
         dynamics.write_trace_csv(out / f"{name}_trace.csv", trace, meta)
-        summary = trace_summary(trace, ens, point.hole if name == "survival"
-                                else None)
+        summary = trace_summary(point, diag)
         if name == "survival":
             summary["hole_depth_over_goe"] = point.record["hole_depth_over_goe"]
-            if own["include_analytic"]:
-                coeff = dynamics.ensemble_amplitudes(ens.indices, point.spectral)
-                inputs = dynamics.estimate_curve_inputs(
-                    coeff, point.spectral.eigenvalues)
-                grid = trace.time_grid
+            if point.analytic is not None:
+                inputs, curve = point.analytic
                 write_table(out / "survival_analytic.csv", ["time", "analytic"],
-                            zip(grid.points,
-                                dynamics.analytic_survival_curve(inputs, grid)),
-                            meta)
+                            zip(trace.time_grid.points, curve), meta)
                 summary["analytic_eta"] = inputs.eta
                 summary["analytic_mean_dos"] = inputs.mean_dos
         if name == "entropy":
@@ -150,12 +145,22 @@ _POINT_WRITERS = {
 
 
 def _cmd_point(args) -> int:
-    """Validate, run the point, and only then write the command's files."""
+    """Validate, run the point and any analytic curve, and only then write
+    the command's files."""
     _reject_flags(args, ("resume",))
     config, own = point_config(load_config(args.config), args.command,
                                _overrides(args))
     (n, m), u, d = config.system_sizes[0], config.u_values[0], config.d_values[0]
-    point = run_point(config, n, m, u, d, config.diagnostics)
+    point = run_point(config, n, m, u, d)
+    if point.record["status"] == "ok" and own.get("include_analytic") and \
+            "survival" in point.traces:
+        with record_failures(point.record):
+            inputs = dynamics.estimate_curve_inputs(
+                dynamics.ensemble_amplitudes(
+                    point.ensembles["survival"].indices, point.spectral),
+                point.spectral.eigenvalues)
+            point.analytic = inputs, dynamics.analytic_survival_curve(
+                inputs, point.traces["survival"].time_grid)
     if point.record["status"] != "ok":
         return _report([point.record])
     out = Path(args.out)

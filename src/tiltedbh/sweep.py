@@ -18,6 +18,7 @@ from __future__ import annotations
 import ctypes
 import json
 import os
+import sys
 import zipfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -47,20 +48,17 @@ from .tables import write_json, write_table
 __all__ = [
     "PointData",
     "run_point",
+    "record_failures",
     "trace_summary",
     "run_chaos_map",
     "run_cut",
     "exit_code_for",
     "cached_diagonalize",
-    "resolve_cache_dir",
     "RESULT_COLUMNS",
     "CACHE_DIR_ENV",
 ]
 
 CACHE_DIR_ENV = "TILTEDBH_CACHE_DIR"
-
-_STATIC_VECTOR_DIAGS = {"pr", "entropy", "imbalance"}
-_DYNAMIC_DIAGS = {"survival", "entropy_dynamics", "imbalance_dynamics"}
 
 RESULT_COLUMNS = [
     "n_bosons", "n_sites", "dim", "u", "d", "u_over_nj", "d_over_j",
@@ -81,11 +79,6 @@ def _point_stem(n, m, u, d) -> str:
     """The name part a point's eigendata cache entries and per-point files
     share; 12 significant digits tell apart points that 6 would merge."""
     return f"{n}x{m}_u{u:.12g}_d{d:.12g}"
-
-
-def resolve_cache_dir(explicit=None) -> Path | None:
-    cdir = explicit or os.environ.get(CACHE_DIR_ENV)
-    return Path(cdir) if cdir else None
 
 
 def _entry_key(basis, params, with_vectors: bool) -> np.ndarray:
@@ -125,9 +118,12 @@ def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None,
     from an entry that holds eigenvectors.  Each entry stores its
     ``_entry_key``; an entry that cannot be read or whose key differs
     counts as a miss and is rewritten.  Entries are written to a temporary
-    file and renamed into place, so an interrupted write leaves none.
+    file and renamed into place, so an interrupted write leaves none.  A
+    write that fails with an ``OSError`` leaves none either: it is reported
+    on stderr and the point goes on uncached.
     """
-    cdir = resolve_cache_dir(cache_dir)
+    cdir = cache_dir or os.environ.get(CACHE_DIR_ENV)
+    cdir = Path(cdir) if cdir else None
     if cdir is not None:
         stem = "eig_" + _point_stem(basis.n_bosons, basis.n_sites,
                                     params.u, params.d)
@@ -141,7 +137,6 @@ def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None,
     spec = spectrum.diagonalize(
         h, with_vectors, value_limit=value_limit, vector_limit=vector_limit)
     if cdir is not None:
-        cdir.mkdir(parents=True, exist_ok=True)
         payload = {"key": _entry_key(basis, params, with_vectors),
                    "eigenvalues": spec.eigenvalues}
         if with_vectors:
@@ -149,34 +144,37 @@ def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None,
         path = cdir / f"{stem}_{'vec' if with_vectors else 'val'}.npz"
         tmp = cdir / f".{path.name}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "wb") as fh:  # a handle: savez adds no suffix
-                np.savez(fh, **payload)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+            cdir.mkdir(parents=True, exist_ok=True)
+            try:
+                with open(tmp, "wb") as fh:  # a handle: savez adds no suffix
+                    np.savez(fh, **payload)
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
+        except OSError as err:  # a full or unusable cache fails no point
+            print(f"warning: eigendata cache entry {path} not written "
+                  f"({type(err).__name__}: {err}); going on uncached",
+                  file=sys.stderr)
     return spec
 
 
 # -- per-point computation ---------------------------------------------------
 
 
-def _build_ensembles(basis: FockBasis, config: SweepConfig, diags: set):
-    """Seeded initial-state sets; identical in every worker for a fixed seed."""
-    out = {}
-    reference = ModelParams(u=config.reference_u, d=config.reference_d)
-    for diag, count in (("survival", config.survival_sample_count),
-                        ("entropy_dynamics", config.entropy_sample_count)):
-        if diag in diags:
-            out[diag] = initial_states.sample_energy_window(
-                basis, sample_count=count, reference=reference,
-                window_halfwidth=config.window_halfwidth,
-                occupation_cap=config.occupation_cap, seed=config.seed)
-    if "imbalance_dynamics" in diags:
-        out["imbalance_dynamics"] = initial_states.maximally_imbalanced_states(
+def _ensemble(basis: FockBasis, config: SweepConfig, diag: str):
+    """The seeded initial states of the trace ``diag``; identical in every
+    worker for a fixed seed."""
+    if diag == "imbalance_dynamics":
+        return initial_states.maximally_imbalanced_states(
             basis, occupation_cap=config.occupation_cap,
             max_states=config.imbalance_max_states, seed=config.seed)
-    return out
+    return initial_states.sample_energy_window(
+        basis, sample_count=(config.survival_sample_count if diag == "survival"
+                             else config.entropy_sample_count),
+        reference=ModelParams(u=config.reference_u, d=config.reference_d),
+        window_halfwidth=config.window_halfwidth,
+        occupation_cap=config.occupation_cap, seed=config.seed)
 
 
 @dataclass
@@ -191,6 +189,8 @@ class PointData:
     ensembles: dict = field(default_factory=dict)  # diagnostic -> StateEnsemble
     traces: dict = field(default_factory=dict)     # diagnostic -> QuenchTrace
     hole: dynamics.SurvivalAnalysis | None = None
+    # (AnalyticCurveInputs, curve on the survival grid), set by ``quench``
+    analytic: tuple | None = None
 
 
 def _point_record(n: int, m: int, u: float, d: float, status: str = "ok",
@@ -203,22 +203,35 @@ def _point_record(n: int, m: int, u: float, d: float, status: str = "ok",
     }
 
 
-def run_point(config: SweepConfig, n: int, m: int, u: float, d: float,
-              diags) -> PointData:
-    """The diagnostics ``diags`` at (N, M, U, D).
+@contextmanager
+def record_failures(record: dict):
+    """Turn an exception inside the block into the point's ``status`` and
+    ``error``, keeping the fields set before it."""
+    try:
+        yield
+    except DimensionTooLargeError as err:
+        record["status"] = "skipped_dimension"
+        record["error"] = str(err)
+    except Exception as err:  # per-point failures never abort the sweep
+        record["status"] = "error"
+        record["error"] = f"{type(err).__name__}: {err}"
+
+
+def run_point(config: SweepConfig, n: int, m: int, u: float,
+              d: float) -> PointData:
+    """The config's diagnostics at (N, M, U, D).
 
     A failure does not raise: it sets the record's ``status`` and
     ``error`` and keeps the fields computed before it.
     """
-    diags = set(diags)
+    diags = set(config.diagnostics)
     record = _point_record(n, m, u, d)
     point = PointData(record)
-    try:
+    with record_failures(record):
         record["dim"] = dimension(n, m)
         basis = FockBasis(n, m)
-        with_vectors = bool(diags & (_STATIC_VECTOR_DIAGS | _DYNAMIC_DIAGS))
         spec = point.spectral = cached_diagonalize(
-            basis, ModelParams(u=u, d=d), with_vectors,
+            basis, ModelParams(u=u, d=d), bool(diags - {"gap_ratio"}),
             cache_dir=config.cache_dir,
             value_limit=config.eigenvalue_limit,
             vector_limit=config.eigenvector_limit,
@@ -233,7 +246,7 @@ def run_point(config: SweepConfig, n: int, m: int, u: float, d: float,
                 stats, config.goe_reference)
             record["n_gaps"] = stats.n_gaps_used
 
-        if diags & _STATIC_VECTOR_DIAGS:
+        if diags & {"pr", "entropy", "imbalance"}:
             prof = point.profiles = eigenstate_diagnostics(spec)
             if "pr" in diags:
                 record["pr_central_over_goe"] = central_window_average(
@@ -245,57 +258,52 @@ def run_point(config: SweepConfig, n: int, m: int, u: float, d: float,
                 record["imbalance_central"] = central_window_average(
                     prof.imbalance, config.central_window)
 
-        if diags & _DYNAMIC_DIAGS:
-            ensembles = point.ensembles = _build_ensembles(basis, config, diags)
-            traces = point.traces
+        # every ensemble before any trace: an empty one fails the point first
+        point.ensembles = {
+            diag: _ensemble(basis, config, diag)
+            for diag in ("survival", "entropy_dynamics", "imbalance_dynamics")
+            if diag in diags}
 
-            if "survival" in diags:
-                grid = dynamics.log_time_grid(
-                    config.time_min, config.time_max, config.time_points)
-                coeff = dynamics.ensemble_amplitudes(
-                    ensembles["survival"].indices, spec)
-                trace = traces["survival"] = dynamics.survival_trace(
-                    coeff, spec.eigenvalues, grid, config.smoothing_window)
-                ipr = dynamics.ensemble_ipr(coeff)
-                del coeff  # freed before the traces allocate their buffers
-                hole = point.hole = dynamics.correlation_hole_depth(
-                    trace, ipr, tuple(config.hole_window))
-                record["ipr"] = hole.ipr
-                record["sp_min"] = hole.sp_min
-                record["sp_min_raw"] = hole.sp_min_raw
-                record["hole_depth"] = hole.hole_depth
-                record["hole_depth_over_goe"] = hole.hole_depth / d_goe
-                record["survival_relaxation"] = trace.relaxation_value
+        if "survival" in diags:
+            grid = dynamics.log_time_grid(
+                config.time_min, config.time_max, config.time_points)
+            coeff = dynamics.ensemble_amplitudes(
+                point.ensembles["survival"].indices, spec)
+            trace = point.traces["survival"] = dynamics.survival_trace(
+                coeff, spec.eigenvalues, grid, config.smoothing_window)
+            ipr = dynamics.ensemble_ipr(coeff)
+            del coeff  # freed before the traces allocate their buffers
+            hole = point.hole = dynamics.correlation_hole_depth(
+                trace, ipr, tuple(config.hole_window))
+            record["ipr"] = hole.ipr
+            record["sp_min"] = hole.sp_min
+            record["sp_min_raw"] = hole.sp_min_raw
+            record["hole_depth"] = hole.hole_depth
+            record["hole_depth_over_goe"] = hole.hole_depth / d_goe
+            record["survival_relaxation"] = trace.relaxation_value
 
-            obs_t_max = config.time_max_observables or config.time_max
+        observed = [(diag, name) for diag, name in
+                    (("entropy_dynamics", "entropy"),
+                     ("imbalance_dynamics", "imbalance")) if diag in diags]
+        if observed:
             obs_grid = dynamics.log_time_grid(
-                config.time_min, obs_t_max, config.time_points_observables)
-
-            if "entropy_dynamics" in diags:
-                trace = traces["entropy_dynamics"] = dynamics.observable_trace(
-                    ensembles["entropy_dynamics"].indices, spec, obs_grid,
-                    "entropy", config.smoothing_window)
-                record["entropy_relaxation"] = trace.relaxation_value
-                record["entropy_relaxation_over_page"] = \
-                    trace.relaxation_value / page_value(n, m)
-
-            if "imbalance_dynamics" in diags:
-                trace = traces["imbalance_dynamics"] = dynamics.observable_trace(
-                    ensembles["imbalance_dynamics"].indices, spec, obs_grid,
-                    "imbalance", config.smoothing_window)
-                record["imbalance_relaxation"] = trace.relaxation_value
-    except DimensionTooLargeError as err:
-        record["status"] = "skipped_dimension"
-        record["error"] = str(err)
-    except Exception as err:  # per-point failures never abort the sweep
-        record["status"] = "error"
-        record["error"] = f"{type(err).__name__}: {err}"
+                config.time_min, config.time_max_observables or config.time_max,
+                config.time_points_observables)
+        for diag, name in observed:
+            trace = point.traces[diag] = dynamics.observable_trace(
+                point.ensembles[diag].indices, spec, obs_grid, name,
+                config.smoothing_window)
+            record[f"{name}_relaxation"] = trace.relaxation_value
+        if "entropy_dynamics" in diags:
+            record["entropy_relaxation_over_page"] = \
+                record["entropy_relaxation"] / page_value(n, m)
     return point
 
 
-def trace_summary(trace, ensemble, hole=None) -> dict:
+def trace_summary(point: PointData, diag: str) -> dict:
     """Relaxation value, ensemble protocol and, for the survival
-    probability, the correlation-hole analysis of one trace."""
+    probability, the correlation hole of the point's ``diag`` trace."""
+    trace, ensemble = point.traces[diag], point.ensembles[diag]
     summary = {
         "observable": trace.observable,
         "relaxation_value": trace.relaxation_value,
@@ -303,7 +311,8 @@ def trace_summary(trace, ensemble, hole=None) -> dict:
         "n_states": len(ensemble),
         "protocol": ensemble.metadata,
     }
-    if hole is not None:
+    if diag == "survival":
+        hole = point.hole
         summary.update({
             "ipr": hole.ipr,
             "sp_min": hole.sp_min,
@@ -332,11 +341,10 @@ def _write_point_files(config: SweepConfig, out_dir: Path,
         (out_dir / "traces").mkdir(exist_ok=True)
         for diag, trace in point.traces.items():
             name = f"{trace.observable}_{stem}"
-            summary = trace_summary(trace, point.ensembles[diag],
-                                    point.hole if diag == "survival" else None)
             dynamics.write_trace_csv(out_dir / "traces" / f"{name}.csv", trace,
                                      metadata)
-            write_json(out_dir / "traces" / f"{name}.json", summary, metadata)
+            write_json(out_dir / "traces" / f"{name}.json",
+                       trace_summary(point, diag), metadata)
     return rec
 
 
@@ -362,12 +370,12 @@ def _release_freed_heap() -> None:
 
 
 def _compute_point(config: SweepConfig, out_dir: Path, n: int, m: int,
-                   u: float, d: float, diags: tuple) -> dict:
+                   u: float, d: float) -> dict:
     """The (N, M, U, D) record, returned once the point's eigenstate
     profile and trace files, if the config saves them, are in ``out_dir``."""
     try:
         return _write_point_files(config, out_dir,
-                                  run_point(config, n, m, u, d, diags))
+                                  run_point(config, n, m, u, d))
     finally:
         # the point's arrays are freed by now; glibc keeps their brk heap,
         # where its mmap threshold, raised by the first freed work buffer of
@@ -447,9 +455,9 @@ def _worker_pool(workers: int, calls: list):
         yield futures
 
 
-def _run_points(config: SweepConfig, out_dir, diags, resume: bool) -> list:
-    """Run the diagnostics ``diags`` at every (N, M, U, D) of the config's
-    grid and write ``results.csv``; return the records."""
+def _run_points(config: SweepConfig, out_dir, resume: bool) -> list:
+    """Run the config's diagnostics at every (N, M, U, D) of its grid and
+    write ``results.csv``; return the records."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metadata = config.metadata()
@@ -471,10 +479,9 @@ def _run_points(config: SweepConfig, out_dir, diags, resume: bool) -> list:
 
     if config.workers == 1 or len(pending) <= 1:
         for point in pending:
-            finish(point, _compute_point(config, out, *point, tuple(diags)))
+            finish(point, _compute_point(config, out, *point))
     else:
-        calls = [(_compute_point, config, out, *point, tuple(diags))
-                 for point in pending]
+        calls = [(_compute_point, config, out, *point) for point in pending]
         with _worker_pool(config.workers, calls) as submitted:
             futures = dict(zip(submitted, pending))
             for fut in as_completed(futures):
@@ -498,8 +505,9 @@ def _run_points(config: SweepConfig, out_dir, diags, resume: bool) -> list:
 
 
 def run_chaos_map(config: SweepConfig, out_dir, resume: bool = False) -> list:
-    """Gap-ratio map over the full (U, D) grid, eigenvalues only."""
-    return _run_points(config, out_dir, ("gap_ratio",), resume)
+    """The config's diagnostics over the full (U, D) grid; the command line
+    accepts only ``gap_ratio`` there, which needs no eigenvectors."""
+    return _run_points(config, out_dir, resume)
 
 
 def run_cut(config: SweepConfig, out_dir, resume: bool = False) -> list:
@@ -508,7 +516,7 @@ def run_cut(config: SweepConfig, out_dir, resume: bool = False) -> list:
     The cut runs over the cartesian product of ``u_values`` and
     ``d_values``; a cut in the usual sense fixes one list to length 1.
     """
-    return _run_points(config, out_dir, tuple(config.diagnostics), resume)
+    return _run_points(config, out_dir, resume)
 
 
 def exit_code_for(records: list) -> int:

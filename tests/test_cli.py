@@ -1,4 +1,6 @@
+import filecmp
 import json
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -304,15 +306,26 @@ def test_negative_seed_flag_exits_one_before_writing(tmp_path, capsys,
 
 
 def test_failed_point_command_exits_two_without_outputs(tmp_path, capsys):
-    # a hole window holding no grid time fails the point, not the config
-    cfg = _write(tmp_path / "c.json", {
-        "n_bosons": 3, "n_sites": 3, "u": 0.5, "d": 0.5,
-        "observables": ["survival"], "survival_sample_count": 3,
-        "time_points": 5, "time_max": 2.0, "hole_window": [5.0, 10.0]})
-    out = tmp_path / "out"
-    assert main(["quench", "--config", cfg, "--out", str(out)]) == 2
-    assert "WindowEmptyError" in capsys.readouterr().err
-    assert not out.exists()
+    cases = [
+        # a hole window holding no grid time fails the point, not the config
+        ({"n_bosons": 3, "n_sites": 3, "u": 0.5, "d": 0.5,
+          "observables": ["survival"], "survival_sample_count": 3,
+          "time_points": 5, "time_max": 2.0, "hole_window": [5.0, 10.0]},
+         "WindowEmptyError"),
+        # so does an analytic curve whose fit fails after the traces
+        ({"n_bosons": 3, "n_sites": 3, "u": 1000.0, "d": 0.0,
+          "observables": ["survival"], "survival_sample_count": 1,
+          "time_points": 50, "hole_window": [0.5, 100.0],
+          "window_halfwidth": 5.0},
+         "ValueError: eta must exceed 1"),
+    ]
+    for i, (payload, error) in enumerate(cases):
+        cfg = _write(tmp_path / f"c{i}.json", payload)
+        out = tmp_path / f"out{i}"
+        assert main(["quench", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("point N=3 M=3") and f": error ({error}" in err
+        assert not out.exists()
 
 
 def test_basis_config_typo_exits_one_before_writing(tmp_path):
@@ -331,3 +344,43 @@ def test_bad_basis_size_exits_one_naming_its_key(tmp_path, capsys, bad):
     assert main(["basis", "--config", cfg, "--out", str(out)]) == 1
     assert f"config error: {next(iter(bad))}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _same_tree(a: Path, b: Path) -> bool:
+    """Whether two directory trees hold the same names and file bytes."""
+    cmp = filecmp.dircmp(a, b)
+    _, differ, unreadable = filecmp.cmpfiles(a, b, cmp.common_files,
+                                             shallow=False)
+    return not (cmp.left_only or cmp.right_only or differ or unreadable) and \
+        all(_same_tree(a / sub, b / sub) for sub in cmp.common_dirs)
+
+
+def test_serial_reruns_are_byte_identical(tmp_path):
+    cut = _write(tmp_path / "cut.json", {
+        "system_sizes": [[4, 4]], "u_values": [0.5],
+        "d_values": [0.5, 1.0, 2.0],
+        "diagnostics": ["gap_ratio", "pr", "entropy", "imbalance", "survival",
+                        "entropy_dynamics", "imbalance_dynamics"],
+        "survival_sample_count": 10, "entropy_sample_count": 5,
+        "time_points": 50, "time_points_observables": 50,
+        "save_traces": True, "save_eigenstate_profiles": True, "seed": 2024})
+    quench = _write(tmp_path / "quench.json", {
+        "n_bosons": 4, "n_sites": 4, "u": 0.5, "d": 0.5,
+        "survival_sample_count": 10, "entropy_sample_count": 5,
+        "time_points": 50, "time_points_observables": 50, "seed": 2024})
+    for run in ("a", "b"):
+        assert main(["quench", "--config", quench, "--out",
+                     str(tmp_path / run / "quench")]) == 0
+        assert main(["cut", "--config", cut, "--out",
+                     str(tmp_path / run / "cut")]) == 0
+    assert len(list((tmp_path / "a" / "cut" / "traces").iterdir())) == 18
+    assert _same_tree(tmp_path / "a", tmp_path / "b")
+
+
+def test_console_script_resolves_to_a_callable():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert list(scripts) == ["tiltedbh"]
+    module, _, attr = scripts["tiltedbh"].partition(":")
+    assert callable(getattr(import_module(module), attr))

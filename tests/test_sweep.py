@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import warnings
@@ -8,7 +9,7 @@ import pytest
 
 from tiltedbh import SweepConfig, run_chaos_map, run_cut
 from tiltedbh import spectrum
-from tiltedbh.config import ConfigError, load_config
+from tiltedbh.config import ALLOWED_DIAGNOSTICS, ConfigError, load_config
 from tiltedbh.sweep import (
     RESULT_COLUMNS,
     _entry_key,
@@ -126,6 +127,8 @@ def test_single_point_cut_agrees_with_chaos_map(tmp_path):
     map_records = run_chaos_map(config, tmp_path / "map")
     cut_records = run_cut(config, tmp_path / "cut")
     assert map_records[0]["mean_r"] == cut_records[0]["mean_r"]
+    assert (tmp_path / "map" / "results.csv").read_bytes() == \
+        (tmp_path / "cut" / "results.csv").read_bytes()
 
 
 def test_cut_with_dynamics_and_artifacts(tmp_path):
@@ -213,15 +216,21 @@ def test_empty_imbalance_ensemble_is_a_point_error():
     # N = 8 bosons, M = 4 sites: at the default occupation_cap 3 the two
     # right-half sites hold at most 6, so no state qualifies
     config = _config(system_sizes=[[8, 4]],
-                     diagnostics=["imbalance_dynamics"])
+                     diagnostics=["gap_ratio", "pr", "survival",
+                                  "imbalance_dynamics"],
+                     survival_sample_count=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        record = run_point(config, 8, 4, 0.5, 0.5,
-                           config.diagnostics).record
+        record = run_point(config, 8, 4, 0.5, 0.5).record
     assert record["status"] == "error"
     assert "InsufficientCandidatesError" in record["error"]
     assert "occupation_cap 3" in record["error"]
     assert exit_code_for([record]) == 2
+    # every ensemble is built before any trace: the static fields stay,
+    # and no survival field is filled
+    assert isinstance(record["mean_r"], float)
+    assert isinstance(record["pr_central_over_goe"], float)
+    assert "ipr" not in record
 
 
 def test_parallel_workers_reproduce_serial_results(tmp_path):
@@ -232,6 +241,33 @@ def test_parallel_workers_reproduce_serial_results(tmp_path):
     a = (tmp_path / "serial" / "results.csv").read_text().splitlines()
     b = (tmp_path / "parallel" / "results.csv").read_text().splitlines()
     assert a[1:] == b[1:]  # identical rows; header hash differs with workers
+
+
+def test_pooled_cut_with_every_diagnostic_matches_the_serial_run(tmp_path):
+    settings = dict(
+        system_sizes=[[4, 4]], d_values=[0.5, 1.0, 2.0],
+        diagnostics=list(ALLOWED_DIAGNOSTICS), survival_sample_count=6,
+        entropy_sample_count=4, time_points=40, time_points_observables=30,
+        hole_window=[5.0, 500.0], save_traces=True,
+        save_eigenstate_profiles=True)
+    serial, pooled = _config(**settings), _config(**settings, workers=2)
+    run_cut(serial, tmp_path / "serial")
+    run_cut(pooled, tmp_path / "pooled")
+    a = (tmp_path / "serial" / "results.csv").read_text().splitlines()
+    b = (tmp_path / "pooled" / "results.csv").read_text().splitlines()
+    assert a[1:] == b[1:]  # identical rows; header hash differs with workers
+    files = sorted(path.relative_to(tmp_path / "serial")
+                   for sub in ("traces", "eigenstates")
+                   for path in (tmp_path / "serial" / sub).iterdir())
+    assert len(files) == 3 * 3 * 2 + 3
+    for name in files:
+        # the same bytes once the config hash, which holds workers, agrees
+        pooled_bytes = (tmp_path / "pooled" / name).read_bytes().replace(
+            pooled.config_hash.encode(), serial.config_hash.encode())
+        assert pooled_bytes == (tmp_path / "serial" / name).read_bytes(), name
+    assert sorted(path.relative_to(tmp_path / "pooled")
+                  for sub in ("traces", "eigenstates")
+                  for path in (tmp_path / "pooled" / sub).iterdir()) == files
 
 
 def test_eigendata_cache_roundtrip(tmp_path):
@@ -284,9 +320,9 @@ def _counting_compute_point(monkeypatch):
     calls = []
     real = sweep_mod._compute_point
 
-    def counted(config, out_dir, n, m, u, d, diags):
+    def counted(config, out_dir, n, m, u, d):
         calls.append((n, m, u, d))
-        return real(config, out_dir, n, m, u, d, diags)
+        return real(config, out_dir, n, m, u, d)
 
     monkeypatch.setattr(sweep_mod, "_compute_point", counted)
     return calls
@@ -430,13 +466,52 @@ def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
     assert list((tmp_path / "cache").iterdir()) == []
 
 
-def _die_at_d_0_9(config, out_dir, n, m, u, d, diags):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cache_that_cannot_be_written_fails_no_point(tmp_path, capfd,
+                                                     workers):
+    from tiltedbh.cli import main
+
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    cfg = tmp_path / "map.json"
+    cfg.write_text(json.dumps(dict(BASE, workers=workers,
+                                   cache_dir=str(blocker / "cache"))))
+    out = tmp_path / "map"
+    assert main(["chaos-map", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "results.csv", newline="") as fh:
+        rows = [dict(zip(RESULT_COLUMNS, row)) for row in csv.reader(fh)
+                if not row[0].startswith("#")][1:]
+    assert [row["status"] for row in rows] == ["ok", "ok"]
+    assert all(float(row["mean_r"]) > 0 for row in rows)
+    err = capfd.readouterr().err
+    assert err.count("NotADirectoryError") == 2
+    assert str(blocker / "cache" / "eig_3x3_u0.5_d0.5_val.npz") in err
+
+
+def test_full_cache_disk_leaves_no_file_and_the_point_solves(
+        tmp_path, monkeypatch, capsys):
+    def full(fh, **payload):
+        fh.write(b"partial")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(np, "savez", full)
+    cache = tmp_path / "cache"
+    records = run_chaos_map(_config(cache_dir=str(cache)), tmp_path / "map")
+    assert [r["status"] for r in records] == ["ok", "ok"]
+    assert all(isinstance(r["mean_r"], float) for r in records)
+    assert list(cache.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.count(os.strerror(errno.ENOSPC)) == 2
+    assert str(cache / "eig_3x3_u0.5_d2_val.npz") in err
+
+
+def _die_at_d_0_9(config, out_dir, n, m, u, d):
     """A sweep point whose worker process dies at d = 0.9, as if killed."""
     import tiltedbh.sweep as sweep_mod
 
     if d == 0.9:
         os._exit(1)
-    return sweep_mod._compute_point(config, out_dir, n, m, u, d, diags)
+    return sweep_mod._compute_point(config, out_dir, n, m, u, d)
 
 
 def test_dead_worker_fails_its_points_and_resume_recomputes_them(
