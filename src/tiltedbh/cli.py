@@ -14,13 +14,15 @@ Every subcommand reads one JSON config (``--config``) and writes into an
 output directory (``--out``).  ``spectrum``, ``eigenstates`` and ``quench``
 run their point (``n_bosons``, ``n_sites``, ``u``, ``d``) as a one-point
 sweep config through the sweep's per-point pipeline and differ only in the
-files they write.  Exit codes: 0 success, 1 config error, 2 partial
-per-point failures, 3 resource limit.
+files they write.  Exit codes: 0 success, 1 config error or an unusable
+``--out`` (checked before any work), 2 partial per-point failures,
+3 resource limit.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -55,6 +57,16 @@ def _reject_flags(args, names) -> None:
     for name in names:
         if getattr(args, name) not in (None, False):
             raise ConfigError(f"--{name}: {args.command} does not take it")
+
+
+def _check_out(path: str) -> None:
+    """Raise ConfigError unless ``path`` is a writable directory or can be
+    made one: its nearest existing ancestor must be a writable directory."""
+    probe = Path(path)
+    while not os.path.exists(probe):
+        probe = probe.parent
+    if not (probe.is_dir() and os.access(probe, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--out: {probe} is not a writable directory")
 
 
 def _report(records: list) -> int:
@@ -173,17 +185,13 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_sweep(args, runner) -> int:
-    raw = load_config(args.config)
-    raw.update(_overrides(args))
-    config = SweepConfig.from_dict(raw)
+    config = SweepConfig.from_dict({**load_config(args.config),
+                                    **_overrides(args)})
     if args.command == "chaos-map" and set(config.diagnostics) != {"gap_ratio"}:
         raise ConfigError("diagnostics: a chaos map computes only "
                           "gap_ratio; run the other diagnostics with cut")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "config_effective.json", raw)
-    config.echo(out)
-    return _report(runner(config, out, resume=args.resume))
+    config.echo(args.out)
+    return _report(runner(config, args.out, resume=args.resume))
 
 
 # -- entry ---------------------------------------------------------------
@@ -216,6 +224,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        _check_out(args.out)
         if args.command == "basis":
             return _cmd_basis(args)
         if args.command == "chaos-map":

@@ -20,7 +20,7 @@ import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from . import dynamics, spectrum
+from . import dynamics
 from ._version import __version__
 from .tables import write_json
 
@@ -140,7 +140,7 @@ class SweepConfig:
     """Every setting of a run, with its default and its validation.
 
     Energies (``u_values``, ``d_values``, ``reference_u``, ``reference_d``)
-    are stored in units of the hopping, so ``j`` is 1 after ``from_dict``.
+    are in units of the hopping.
     """
 
     system_sizes: list = _setting(
@@ -150,14 +150,12 @@ class SweepConfig:
     diagnostics: list = _setting(
         [], _each(str, ALLOWED_DIAGNOSTICS.__contains__,
                   f"not one of {ALLOWED_DIAGNOSTICS}"), required=True)
-    j: float = _setting(1.0, _real, *_POSITIVE)
     seed: int = _setting(0, _integer, *_NON_NEGATIVE)
     workers: int = _setting(1, _integer, *_AT_LEAST_ONE)
     edge_discard: float = _setting(0.1, _real, lambda v: 0 <= v < 0.5,
                                    "must lie in [0, 0.5)")
     central_window: float = _setting(0.8, _real, lambda v: 0 < v <= 1,
                                      "must lie in (0, 1]")
-    goe_reference: float = _setting(spectrum.R_GOE, _real)
     occupation_cap: int = _setting(3, _integer, *_AT_LEAST_ONE)
     window_halfwidth: float = _setting(0.4, _real, *_POSITIVE)
     reference_u: float = _setting(0.5, _real, *_NON_NEGATIVE)
@@ -181,15 +179,11 @@ class SweepConfig:
         "expected [lo, hi] with 0 < lo < hi")
     save_traces: bool = _setting(False, _flag)
     save_eigenstate_profiles: bool = _setting(False, _flag)
-    eigenvalue_limit: int = _setting(spectrum.DENSE_EIGENVALUE_LIMIT, _integer,
-                                     *_AT_LEAST_ONE)
-    eigenvector_limit: int = _setting(spectrum.DENSE_EIGENVECTOR_LIMIT,
-                                      _integer, *_AT_LEAST_ONE)
     cache_dir: str | None = _setting(None, _optional(_string))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
-        """Fill defaults, validate every field, normalize energies to j = 1."""
+        """Fill defaults and validate every field."""
         defaults = cls()
         values = {}
         for key in raw:
@@ -208,14 +202,6 @@ class SweepConfig:
         if values["time_max_observables"] is not None and \
                 values["time_max_observables"] <= values["time_min"]:
             raise ConfigError("time_max_observables: must exceed time_min")
-        j = values["j"]
-        values.update(
-            j=1.0,
-            u_values=[v / j for v in values["u_values"]],
-            d_values=[v / j for v in values["d_values"]],
-            reference_u=values["reference_u"] / j,
-            reference_d=values["reference_d"] / j,
-        )
         return cls(**values)
 
     def to_dict(self) -> dict:

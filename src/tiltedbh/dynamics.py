@@ -75,6 +75,9 @@ RELAXATION_TAIL_POINTS = 10
 # many grid times share one pass over the eigenvector matrix.
 _TRACE_BUFFER_BYTES = 16 * 2 ** 20
 
+# kernel centers per (grid x centers) block of the analytic curve's densities
+_KDE_CHUNK = 512
+
 
 class WindowEmptyError(ValueError):
     pass
@@ -160,8 +163,6 @@ def moving_average(series, window_points: int) -> np.ndarray:
     if window_points < 1 or window_points % 2 == 0:
         raise ValueError("window_points must be odd and >= 1")
     x = np.asarray(series, dtype=np.float64)
-    if window_points == 1:
-        return x.copy()
     # "full" convolution sliced to the series: mode="same" would return
     # window_points values for a series shorter than the window
     kernel = np.ones(window_points)
@@ -339,12 +340,11 @@ class AnalyticCurveInputs:
 
 
 def _gaussian_kde(grid: np.ndarray, centers: np.ndarray,
-                  weights: np.ndarray, bandwidth: float,
-                  chunk: int = 512) -> np.ndarray:
+                  weights: np.ndarray, bandwidth: float) -> np.ndarray:
     out = np.zeros_like(grid)
     norm = 1.0 / (np.sqrt(2.0 * np.pi) * bandwidth)
-    for a in range(0, centers.size, chunk):
-        b = min(a + chunk, centers.size)
+    for a in range(0, centers.size, _KDE_CHUNK):
+        b = min(a + _KDE_CHUNK, centers.size)
         z = np.subtract.outer(grid, centers[a:b])
         z /= bandwidth
         np.square(z, out=z)

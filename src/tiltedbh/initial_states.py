@@ -98,13 +98,9 @@ def sample_energy_window(basis: FockBasis, *, sample_count: int,
             f"window holds {candidates.size} candidate states, "
             f"need {sample_count}"
         )
-    if candidates.size == sample_count:
-        chosen = candidates
-    else:
-        rng = make_rng(seed)
-        pick = rng.choice(candidates.size, size=sample_count,
-                          replace=False, shuffle=False)
-        chosen = np.sort(candidates[pick])
+    pick = make_rng(seed).choice(candidates.size, size=sample_count,
+                                 replace=False, shuffle=False)
+    chosen = np.sort(candidates[pick])
     occ = basis.states[chosen]
     energies = h_ref.diagonal[chosen]
     meta = {

@@ -114,10 +114,11 @@ def _upper_triangle_in_fresh_pages(h: HamiltonianMatrix) -> np.ndarray:
     return a
 
 
-def diagonalize(h: HamiltonianMatrix, compute_vectors: bool = True,
-                value_limit: int = DENSE_EIGENVALUE_LIMIT,
-                vector_limit: int = DENSE_EIGENVECTOR_LIMIT) -> SpectralData:
-    """Dense symmetric eigensolve of the full Hamiltonian.
+def diagonalize(h: HamiltonianMatrix,
+                compute_vectors: bool = True) -> SpectralData:
+    """Dense symmetric eigensolve of the full Hamiltonian, up to
+    ``DENSE_EIGENVECTOR_LIMIT`` with eigenvectors and
+    ``DENSE_EIGENVALUE_LIMIT`` without.
 
     LAPACK gets the column-major ``.T`` view of the upper triangle written
     into fresh pages, whose lower triangle (``lower=True``) is the one it
@@ -126,7 +127,8 @@ def diagonalize(h: HamiltonianMatrix, compute_vectors: bool = True,
     resident; with vectors, the returned eigenvectors fill the whole
     buffer, in Fortran order.
     """
-    limit = vector_limit if compute_vectors else value_limit
+    limit = DENSE_EIGENVECTOR_LIMIT if compute_vectors \
+        else DENSE_EIGENVALUE_LIMIT
     if h.dim > limit:
         raise DimensionTooLargeError(
             f"dimension {h.dim} exceeds the dense limit {limit} "

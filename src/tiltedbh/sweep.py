@@ -108,9 +108,7 @@ def _read_entry(path: Path, key: np.ndarray, dim: int, with_vectors: bool):
     return values, vectors
 
 
-def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None,
-                       value_limit=spectrum.DENSE_EIGENVALUE_LIMIT,
-                       vector_limit=spectrum.DENSE_EIGENVECTOR_LIMIT):
+def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None):
     """Diagonalize, reusing an on-disk eigendata store when one is configured.
 
     Cache entries are keyed by (N, M, U, D) so repeated diagnostics at the
@@ -133,9 +131,7 @@ def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None,
                 _entry_key(basis, params, vectors), basis.dim, with_vectors)
             if found is not None:
                 return spectrum.SpectralData(basis, params, *found)
-    h = hamiltonian.build(basis, params)
-    spec = spectrum.diagonalize(
-        h, with_vectors, value_limit=value_limit, vector_limit=vector_limit)
+    spec = spectrum.diagonalize(hamiltonian.build(basis, params), with_vectors)
     if cdir is not None:
         payload = {"key": _entry_key(basis, params, with_vectors),
                    "eigenvalues": spec.eigenvalues}
@@ -232,18 +228,14 @@ def run_point(config: SweepConfig, n: int, m: int, u: float,
         basis = FockBasis(n, m)
         spec = point.spectral = cached_diagonalize(
             basis, ModelParams(u=u, d=d), bool(diags - {"gap_ratio"}),
-            cache_dir=config.cache_dir,
-            value_limit=config.eigenvalue_limit,
-            vector_limit=config.eigenvector_limit,
-        )
+            cache_dir=config.cache_dir)
         d_goe = goe_participation_reference(basis.dim)
 
         if "gap_ratio" in diags:
             stats = point.gap_stats = spectrum.mean_gap_ratio(
                 spec.eigenvalues, config.edge_discard)
             record["mean_r"] = stats.mean_r
-            record["chaos_distance"] = spectrum.chaos_distance(
-                stats, config.goe_reference)
+            record["chaos_distance"] = spectrum.chaos_distance(stats)
             record["n_gaps"] = stats.n_gaps_used
 
         if diags & {"pr", "entropy", "imbalance"}:

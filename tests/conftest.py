@@ -21,13 +21,18 @@ R_GOE_SURMISE = 0.5307
 R_GOE_LARGE = 0.536
 
 
+def fresh_python_env() -> dict:
+    """The environment under which a new interpreter imports the package
+    from where the tests import it."""
+    src = str(Path(tiltedbh.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_in_fresh_python(code: str) -> str:
     """Standard output of ``code`` run by a new interpreter, which imports
     the package from where the tests import it."""
-    src = str(Path(tiltedbh.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", code],
-                         env={**os.environ, "PYTHONPATH": path},
+    run = subprocess.run([sys.executable, "-c", code], env=fresh_python_env(),
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     return run.stdout

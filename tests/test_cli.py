@@ -1,5 +1,7 @@
 import filecmp
 import json
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -8,6 +10,8 @@ import pytest
 
 from tiltedbh.cli import main
 from tiltedbh.config import SweepConfig, basis_config, point_config
+
+from conftest import fresh_python_env
 
 
 def _write(path, payload):
@@ -220,6 +224,8 @@ def test_shipped_configs_load_through_the_schema(path):
                                  {"cache_dir": 5},
                                  {"u": -1}, {"n_sites": 0}, {"d": "0.5"},
                                  {"seed": -1}, {"eigenvector_limit": 0},
+                                 {"j": 2.0}, {"goe_reference": 0.536},
+                                 {"eigenvalue_limit": 10},
                                  {"time_max_observables": 0.05},
                                  {"observables": ["entropy", "spin"]},
                                  {"observables": []}],
@@ -231,7 +237,8 @@ def test_shipped_configs_load_through_the_schema(path):
                               "string_flag", "numeric_cache_dir",
                               "negative_energy", "zero_sites",
                               "string_energy", "negative_seed",
-                              "zero_vector_limit",
+                              "zero_vector_limit", "hopping",
+                              "goe_reference", "value_limit",
                               "observable_time_below_min",
                               "unknown_observable", "no_observables"])
 def test_bad_point_config_exits_one_before_writing(tmp_path, capsys, command,
@@ -255,11 +262,14 @@ _SWEEP = {"system_sizes": [[3, 3]], "u_values": [0.5], "d_values": [0.5],
                                  {"workers": 1.5},
                                  {"u_values": [float("inf")]},
                                  {"seed": -1}, {"eigenvector_limit": 0},
+                                 {"j": 2.0}, {"goe_reference": 0.536},
+                                 {"eigenvalue_limit": 10},
                                  {"time_max": 0.05},
                                  [_SWEEP]],
                          ids=["string_flag", "string_size",
                               "fractional_integer", "infinite_energy",
-                              "negative_seed", "zero_vector_limit",
+                              "negative_seed", "zero_vector_limit", "hopping",
+                              "goe_reference", "value_limit",
                               "time_max_below_min", "json_array"])
 def test_bad_sweep_config_exits_one_before_writing(tmp_path, capsys, bad):
     cfg = _write(tmp_path / "c.json",
@@ -268,6 +278,57 @@ def test_bad_sweep_config_exits_one_before_writing(tmp_path, capsys, bad):
     assert main(["cut", "--config", cfg, "--out", str(out)]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["basis", "spectrum", "eigenstates",
+                                     "quench", "chaos-map", "cut"])
+@pytest.mark.parametrize("under_file", [False, True],
+                         ids=["file", "under_file"])
+def test_unusable_out_exits_one_before_any_work(tmp_path, capsys, monkeypatch,
+                                                command, under_file):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve before --out was checked")
+
+    monkeypatch.setattr("tiltedbh.spectrum.diagonalize", no_eigensolve)
+    payload = {"n_bosons": 3, "n_sites": 3}
+    if command in ("chaos-map", "cut"):
+        payload = _SWEEP
+    elif command != "basis":
+        payload.update(u=0.5, d=0.5)
+    cfg = _write(tmp_path / "c.json", payload)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = blocker / "out" if under_file else blocker
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: ") and err.count("\n") == 1
+    assert blocker.read_text() == "kept"
+
+
+def test_module_and_entry_point_exit_codes(tmp_path):
+    def run(launcher, command, payload, out):
+        cfg = _write(tmp_path / f"{out}.json", payload)
+        return subprocess.run(
+            [sys.executable, *launcher, command, "--config", cfg,
+             "--out", str(tmp_path / out)],
+            env=fresh_python_env(), capture_output=True, text=True)
+
+    module = ["-m", "tiltedbh.cli"]
+    done = run(module, "basis", {"n_bosons": 3, "n_sites": 3}, "basis")
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in (tmp_path / "basis").iterdir()) == [
+        "basis_states.csv", "basis_summary.json"]
+    done = run(module, "chaos-map", _SWEEP, "map")
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in (tmp_path / "map").iterdir()) == [
+        "config_normalized.json", "records.jsonl", "results.csv"]
+    entry = ["-c", "import tiltedbh.cli; tiltedbh.cli.entry_point()"]
+    for launcher, out in ((module, "module"), (entry, "entry")):
+        failed = run(launcher, "cut", {**_SWEEP, "j": 2.0}, out)
+        assert failed.returncode == 1
+        assert failed.stderr == \
+            "config error: j: unknown configuration field\n"
+        assert not (tmp_path / out).exists()
 
 
 @pytest.mark.parametrize("command, flags", [

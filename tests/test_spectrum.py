@@ -109,13 +109,15 @@ def test_value_only_eigensolve_leaves_the_unread_triangle_unmapped():
     assert 0.4 < growth < 0.9
 
 
-def test_dimension_limits():
+def test_dimension_limits(monkeypatch):
     basis = FockBasis(4, 4)
     h = build(basis, ModelParams(u=0.5, d=0.5))
+    monkeypatch.setattr("tiltedbh.spectrum.DENSE_EIGENVECTOR_LIMIT", 10)
+    monkeypatch.setattr("tiltedbh.spectrum.DENSE_EIGENVALUE_LIMIT", 10)
     with pytest.raises(DimensionTooLargeError):
-        diagonalize(h, compute_vectors=True, vector_limit=10)
+        diagonalize(h, compute_vectors=True)
     with pytest.raises(DimensionTooLargeError):
-        diagonalize(h, compute_vectors=False, value_limit=10)
+        diagonalize(h, compute_vectors=False)
 
 
 def test_mean_gap_ratio_examples():

@@ -61,16 +61,6 @@ def test_validation_errors_carry_field_paths():
         SweepConfig.from_dict({"system_sizes": [[3, 3]]})
 
 
-def test_energies_normalized_to_unit_hopping():
-    config = _config(j=2.0, u_values=[1.0], d_values=[4.0], reference_u=1.0,
-                     reference_d=1.6)
-    assert config.j == 1.0
-    assert config.u_values == [0.5]
-    assert config.d_values == [2.0]
-    assert config.reference_u == pytest.approx(0.5)
-    assert config.reference_d == pytest.approx(0.8)
-
-
 def test_echoed_config_revalidates_to_itself(tmp_path):
     cfg_file = tmp_path / "config.json"
     cfg_file.write_text(json.dumps(BASE))
