@@ -12,7 +12,7 @@ partial trace exists only as a test oracle.  All entropies are in nats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, log1p
+from math import log, log1p, nan
 
 import numpy as np
 
@@ -107,12 +107,21 @@ def occupation_distributions(probabilities, basis: FockBasis) -> np.ndarray:
 
 
 def entropy_from_distributions(distributions) -> np.ndarray:
-    """-sum_n p_n ln p_n over the last axis, with 0 ln 0 = 0."""
-    # imported here, so that processes that never take an entropy (chaos
-    # maps, spawned map workers) do not load scipy.special
-    from scipy.special import xlogy
-    d = np.asarray(distributions)
-    return -xlogy(d, d).sum(axis=-1)
+    """-sum_n p_n ln p_n over the last axis, with 0 ln 0 = 0; NaN where an
+    entry is negative or NaN.
+
+    Each p ln p is taken with the C library's scalar ``log``, as
+    ``scipy.special.xlogy`` takes it, so the entropies are bit-identical to
+    ``-xlogy(p, p).sum(-1)`` without loading scipy.  ``np.log`` is not:
+    its vectorized kernels may differ from the C library by one ulp.
+    """
+    d = np.asarray(distributions, dtype=np.float64)
+    terms = np.full_like(d, nan)  # stays NaN where p is negative or NaN
+    terms[d == 0] = 0.0
+    positive = d > 0
+    p = d[positive]
+    terms[positive] = p * np.fromiter(map(log, p.tolist()), np.float64, p.size)
+    return -terms.sum(axis=-1)
 
 
 def central_window_average(values, window: float = 0.8) -> float:

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .basis import FockBasis
 from .hamiltonian import HamiltonianMatrix, ModelParams
@@ -134,6 +133,9 @@ def diagonalize(h: HamiltonianMatrix,
             f"dimension {h.dim} exceeds the dense limit {limit} "
             f"({'with' if compute_vectors else 'without'} eigenvectors)"
         )
+    # imported here, so that processes that read their eigendata from the
+    # cache (warm quenches, the parent of a pooled sweep) never load scipy
+    import scipy.linalg
     dense = _upper_triangle_in_fresh_pages(h).T
     try:
         solved = scipy.linalg.eigh(

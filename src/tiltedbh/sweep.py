@@ -43,7 +43,7 @@ from .diagnostics import (
 )
 from .hamiltonian import ModelParams
 from .spectrum import DimensionTooLargeError
-from .tables import write_json, write_table
+from .tables import atomic_open, write_json, write_table
 
 __all__ = [
     "PointData",
@@ -108,6 +108,11 @@ def _read_entry(path: Path, key: np.ndarray, dim: int, with_vectors: bool):
     return values, vectors
 
 
+# Cache directories this process failed to write an entry to.  Pool workers
+# share no state, so each of them reports an unusable directory once.
+_UNWRITABLE_CACHE_DIRS: set[Path] = set()
+
+
 def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None):
     """Diagonalize, reusing an on-disk eigendata store when one is configured.
 
@@ -118,7 +123,8 @@ def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None):
     counts as a miss and is rewritten.  Entries are written to a temporary
     file and renamed into place, so an interrupted write leaves none.  A
     write that fails with an ``OSError`` leaves none either: it is reported
-    on stderr and the point goes on uncached.
+    on stderr once, the point goes on uncached, and the process writes no
+    further entries to that directory (it still reads from it).
     """
     cdir = cache_dir or os.environ.get(CACHE_DIR_ENV)
     cdir = Path(cdir) if cdir else None
@@ -132,26 +138,21 @@ def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None):
             if found is not None:
                 return spectrum.SpectralData(basis, params, *found)
     spec = spectrum.diagonalize(hamiltonian.build(basis, params), with_vectors)
-    if cdir is not None:
+    if cdir is not None and cdir not in _UNWRITABLE_CACHE_DIRS:
         payload = {"key": _entry_key(basis, params, with_vectors),
                    "eigenvalues": spec.eigenvalues}
         if with_vectors:
             payload["eigenvectors"] = spec.eigenvectors
         path = cdir / f"{stem}_{'vec' if with_vectors else 'val'}.npz"
-        tmp = cdir / f".{path.name}.{os.getpid()}.tmp"
         try:
             cdir.mkdir(parents=True, exist_ok=True)
-            try:
-                with open(tmp, "wb") as fh:  # a handle: savez adds no suffix
-                    np.savez(fh, **payload)
-                os.replace(tmp, path)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
+            with atomic_open(path, "wb") as fh:  # savez adds no suffix
+                np.savez(fh, **payload)
         except OSError as err:  # a full or unusable cache fails no point
+            _UNWRITABLE_CACHE_DIRS.add(cdir)
             print(f"warning: eigendata cache entry {path} not written "
-                  f"({type(err).__name__}: {err}); going on uncached",
-                  file=sys.stderr)
+                  f"({type(err).__name__}: {err}); going on uncached, and "
+                  f"writing no further entries to {cdir}", file=sys.stderr)
     return spec
 
 
@@ -427,8 +428,9 @@ def _worker_pool(workers: int, calls: list):
 
     Each worker gets ``cpu_count // workers`` BLAS threads (at least one),
     so the pools of all workers together do not oversubscribe the cores.
-    BLAS reads its thread count from the environment when numpy is first
-    imported, which a spawned worker does after it starts; ``submit``
+    Each BLAS reads its thread count from the environment when it is
+    loaded: numpy's when numpy is imported, scipy's at the first eigensolve,
+    and a spawned worker does both after it starts; ``submit``
     starts the workers, so the variables are set only while submitting and
     the parent's environment is restored afterwards.
     """

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from tiltedbh import (
     FockBasis,
@@ -163,6 +164,39 @@ def test_occupation_distributions_normalized():
     assert np.allclose(dist.sum(axis=-1), 1.0)
     ent = entropy_from_distributions(dist)
     assert (ent >= 0).all()
+
+
+def _distributions_with_edge_values(rng, shape):
+    """Dirichlet samples over the last axis with exact zeros, subnormals,
+    1 and its neighbours written over some entries."""
+    d = rng.dirichlet(np.full(shape[-1], 0.3), size=shape[:-1])
+    d[rng.random(d.shape) < 0.2] = 0.0
+    subnormal = rng.random(d.shape) < 0.05
+    d[subnormal] = 5e-324 * rng.integers(1, 2 ** 52, subnormal.sum())
+    for value in (1.0, np.nextafter(1.0, 0.0), 1.0 - 2 ** -52,
+                  np.nextafter(1.0, 2.0)):
+        d[rng.random(d.shape) < 0.02] = value
+    return d
+
+
+@pytest.mark.parametrize("shape", [(9,), (4, 6, 8, 9)])
+def test_entropy_is_bit_identical_to_xlogy(shape):
+    # np.log may differ from the C library's log by one ulp; xlogy does not
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        d = _distributions_with_edge_values(rng, shape)
+        assert np.array_equal(entropy_from_distributions(d),
+                              -xlogy(d, d).sum(axis=-1))
+
+
+def test_entropy_is_nan_where_xlogy_is():
+    d = np.array([[0.5, np.nan, 0.5], [-0.25, 0.5, 0.75], [0.0, -0.0, 1.0],
+                  [-np.inf, 0.0, 1.0], [np.inf, 0.0, 0.0], [2.0, -1.0, 0.0]])
+    expected = -xlogy(d, d).sum(axis=-1)
+    assert np.isnan(expected).tolist() == [True, True, False, True, False,
+                                           True]
+    assert np.array_equal(entropy_from_distributions(d), expected,
+                          equal_nan=True)
 
 
 def test_batch_diagnostics_match_per_state_functions():

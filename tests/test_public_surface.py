@@ -1,15 +1,17 @@
 """Guards on the names other code reaches: every exported name resolves,
-every function the benchmark's tracer wraps exists, and importing the
-package and its CLI loads no scipy module that a chaos map does not use."""
+every function the benchmark's tracer wraps exists, and only a process
+that runs an eigensolve loads scipy."""
 
 import importlib
 import importlib.util
+import json
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import tiltedbh
+from tiltedbh.cli import main
 
 from conftest import run_in_fresh_python
 
@@ -49,24 +51,53 @@ def test_every_traced_function_exists():
     assert not missing, f"traced functions missing: {missing}"
 
 
-_IMPORTS = """
+# Run in a fresh interpreter: the scipy modules loaded after importing the
+# package, after a quench served from a warm cache and after one eigensolve.
+_SCIPY_LOADS = """
+import json
 import math
 import sys
 
 import tiltedbh
 import tiltedbh.cli
 
-print(*[name for name in ("scipy.special", "scipy.sparse")
-        if name in sys.modules])
-from tiltedbh import FockBasis, ModelParams, build
+
+def scipy_modules():
+    return sorted(name for name in sys.modules
+                  if name == "scipy" or name.startswith("scipy."))
+
+
+loaded = {{"import": scipy_modules()}}
+assert tiltedbh.cli.main(["quench", "--config", {config!r},
+                          "--out", {out!r}]) == 0
+loaded["warm quench"] = scipy_modules()
+
+from tiltedbh import FockBasis, ModelParams, build, diagonalize
 from tiltedbh.diagnostics import entropy_from_distributions
 
-assert entropy_from_distributions([0.5, 0.5, 0.0]) == math.log(2)
 h = build(FockBasis(3, 3), ModelParams(u=0.5, d=0.5))
+diagonalize(h)
+loaded["solve"] = [name for name in
+                   ("scipy.linalg", "scipy.special", "scipy.sparse")
+                   if name in sys.modules]
+assert entropy_from_distributions([0.5, 0.5, 0.0]) == math.log(2)
 assert (h.to_sparse().toarray() == h.to_dense()).all()
+print(json.dumps(loaded))
 """
 
 
-def test_package_import_loads_neither_scipy_special_nor_sparse():
-    # each is imported where it is used: by the entropies and to_sparse
-    assert run_in_fresh_python(_IMPORTS).split() == []
+def test_package_import_loads_neither_scipy_special_nor_sparse(tmp_path):
+    # scipy.linalg is imported by the eigensolve, scipy.sparse by to_sparse,
+    # and the entropies need no scipy module
+    config = tmp_path / "quench.json"
+    config.write_text(json.dumps({
+        "n_bosons": 4, "n_sites": 4, "u": 0.5, "d": 0.5,
+        "survival_sample_count": 6, "entropy_sample_count": 4,
+        "time_points": 30, "time_points_observables": 20, "seed": 3,
+        "cache_dir": str(tmp_path / "cache")}))
+    assert main(["quench", "--config", str(config),
+                 "--out", str(tmp_path / "cold")]) == 0
+    loaded = json.loads(run_in_fresh_python(_SCIPY_LOADS.format(
+        config=str(config), out=str(tmp_path / "warm"))).splitlines()[-1])
+    assert loaded == {"import": [], "warm quench": [],
+                      "solve": ["scipy.linalg"]}

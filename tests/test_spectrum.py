@@ -87,6 +87,7 @@ def test_eigensolve_works_in_the_hamiltonian_buffer(with_vectors, bound):
 
 _RESIDENT_GROWTH = """
 import re
+import scipy.linalg  # the first solve would import it inside the measurement
 from tiltedbh import FockBasis, ModelParams, build, diagonalize
 
 def status_kib(key):

@@ -474,13 +474,18 @@ def test_cache_that_cannot_be_written_fails_no_point(tmp_path, capfd,
     assert [row["status"] for row in rows] == ["ok", "ok"]
     assert all(float(row["mean_r"]) > 0 for row in rows)
     err = capfd.readouterr().err
-    assert err.count("NotADirectoryError") == 2
+    # each process reports the directory once and then stops writing to it
+    assert 1 <= err.count("NotADirectoryError") <= workers
     assert str(blocker / "cache" / "eig_3x3_u0.5_d0.5_val.npz") in err
+    assert f"writing no further entries to {blocker / 'cache'}" in err
 
 
 def test_full_cache_disk_leaves_no_file_and_the_point_solves(
         tmp_path, monkeypatch, capsys):
+    writes = []
+
     def full(fh, **payload):
+        writes.append(fh.name)
         fh.write(b"partial")
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -490,9 +495,11 @@ def test_full_cache_disk_leaves_no_file_and_the_point_solves(
     assert [r["status"] for r in records] == ["ok", "ok"]
     assert all(isinstance(r["mean_r"], float) for r in records)
     assert list(cache.iterdir()) == []
+    # the first failed write is the last one tried in that directory
+    assert len(writes) == 1
     err = capsys.readouterr().err
-    assert err.count(os.strerror(errno.ENOSPC)) == 2
-    assert str(cache / "eig_3x3_u0.5_d2_val.npz") in err
+    assert err.count(os.strerror(errno.ENOSPC)) == 1
+    assert str(cache / "eig_3x3_u0.5_d0.5_val.npz") in err
 
 
 def _die_at_d_0_9(config, out_dir, n, m, u, d):
