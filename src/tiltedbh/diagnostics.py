@@ -28,7 +28,6 @@ __all__ = [
     "left_half_site_count",
     "imbalance_diagonal",
     "occupation_onehot",
-    "occupation_distributions",
     "entropy_from_distributions",
     "central_window_average",
     "EigenstateDiagnostics",
@@ -92,20 +91,6 @@ def occupation_onehot(basis: FockBasis) -> np.ndarray:
     return onehot
 
 
-def occupation_distributions(probabilities, basis: FockBasis) -> np.ndarray:
-    """Site-occupation distributions p[..., i, n] from Fock-basis probabilities.
-
-    ``probabilities`` has shape (..., dim); the result has shape
-    (..., M, N+1) and each (i, :) slice sums to 1.
-    """
-    p = np.atleast_2d(np.asarray(probabilities, dtype=np.float64))
-    dist = p @ occupation_onehot(basis).T
-    dist = dist.reshape(p.shape[:-1] + (basis.n_sites, basis.n_bosons + 1))
-    if np.ndim(probabilities) == 1:
-        return dist[0]
-    return dist
-
-
 def entropy_from_distributions(distributions) -> np.ndarray:
     """-sum_n p_n ln p_n over the last axis, with 0 ln 0 = 0; NaN where an
     entry is negative or NaN.
@@ -162,6 +147,7 @@ def eigenstate_diagnostics(spectral: SpectralData,
     basis = spectral.basis
     dim = spectral.dim
     imb_diag = imbalance_diagonal(basis)
+    onehot_t = occupation_onehot(basis).T
     pr = np.empty(dim)
     ent = np.empty((dim, basis.n_sites))
     imb = np.empty(dim)
@@ -171,8 +157,7 @@ def eigenstate_diagnostics(spectral: SpectralData,
         probs = (vecs[:, a:b] ** 2).T  # rows = eigenstates
         pr[a:b] = 1.0 / (probs ** 2).sum(axis=1)
         ent[a:b] = entropy_from_distributions(
-            occupation_distributions(probs, basis)
-        )
+            (probs @ onehot_t).reshape(b - a, basis.n_sites, -1))
         imb[a:b] = probs @ imb_diag
     return EigenstateDiagnostics(
         participation=pr,

@@ -60,18 +60,16 @@ def diagonal_energy(occupations, params: ModelParams) -> float:
     return float(diagonal_energies(occ[None, :], params)[0])
 
 
+@dataclass(eq=False, repr=False)  # identity equality; no arrays in repr
 class HamiltonianMatrix:
     """Upper-triangle sparse storage of the real-symmetric Hamiltonian."""
 
-    def __init__(self, basis: FockBasis, params: ModelParams,
-                 diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 values: np.ndarray):
-        self.basis = basis
-        self.params = params
-        self.diagonal = diagonal
-        self.rows = rows
-        self.cols = cols
-        self.values = values
+    basis: FockBasis
+    params: ModelParams
+    diagonal: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     @property
     def dim(self) -> int:

@@ -168,7 +168,7 @@ def mean_gap_ratio(eigenvalues, edge_discard: float = 0.1) -> GapRatioStats:
         raise ValueError(f"edge_discard must lie in [0, 0.5), got {edge_discard}")
     e = np.sort(np.asarray(eigenvalues, dtype=np.float64))
     k = int(round(edge_discard * e.size))
-    kept = e[k: e.size - k] if k else e
+    kept = e[k: e.size - k]
     if kept.size < 3:
         raise ValueError(
             f"need at least 3 eigenvalues after edge discard, have {kept.size}"

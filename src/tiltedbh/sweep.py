@@ -5,7 +5,7 @@ diagnostics with shared spectral data per point, and persists one record
 per point.  Each point writes its profile and trace files before it is
 journaled to ``records.jsonl``, so an interrupted sweep can resume from
 the journal; the canonical ``results.csv`` is rewritten sorted at the end,
-so identical config + seed + worker count reproduce it byte for byte.
+so identical config, seed, workers and BLAS threads give the same bytes.
 Initial-state ensembles are seeded and regenerated identically inside each
 worker instead of being shared.
 
@@ -23,7 +23,7 @@ import zipfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -117,33 +117,31 @@ def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None):
     """Diagonalize, reusing an on-disk eigendata store when one is configured.
 
     Cache entries are keyed by (N, M, U, D) so repeated diagnostics at the
-    same point skip the eigensolve.  A value-only request is also served
-    from an entry that holds eigenvectors.  Each entry stores its
-    ``_entry_key``; an entry that cannot be read or whose key differs
-    counts as a miss and is rewritten.  Entries are written to a temporary
-    file and renamed into place, so an interrupted write leaves none.  A
-    write that fails with an ``OSError`` leaves none either: it is reported
-    on stderr once, the point goes on uncached, and the process writes no
-    further entries to that directory (it still reads from it).
+    same point skip the eigensolve.  A request reads only the entry of its
+    own kind: the eigenvalues of a solve with eigenvectors differ from
+    those of a value-only solve in their last bits, so serving one from the
+    other would make a point's bytes depend on what filled the cache.  Each
+    entry stores its ``_entry_key``; an entry that cannot be read or whose
+    key differs counts as a miss and is rewritten.  Entries are written to
+    a temporary file and renamed into place, so an interrupted write leaves
+    none.  A write that fails with an ``OSError`` leaves none either: it is
+    reported on stderr once, the point goes on uncached, and the process
+    writes no further entries to that directory (it still reads from it).
     """
     cdir = cache_dir or os.environ.get(CACHE_DIR_ENV)
     cdir = Path(cdir) if cdir else None
     if cdir is not None:
-        stem = "eig_" + _point_stem(basis.n_bosons, basis.n_sites,
-                                    params.u, params.d)
-        for vectors in (True,) if with_vectors else (False, True):
-            found = _read_entry(
-                cdir / f"{stem}_{'vec' if vectors else 'val'}.npz",
-                _entry_key(basis, params, vectors), basis.dim, with_vectors)
-            if found is not None:
-                return spectrum.SpectralData(basis, params, *found)
+        stem = _point_stem(basis.n_bosons, basis.n_sites, params.u, params.d)
+        path = cdir / f"eig_{stem}_{'vec' if with_vectors else 'val'}.npz"
+        key = _entry_key(basis, params, with_vectors)
+        found = _read_entry(path, key, basis.dim, with_vectors)
+        if found is not None:
+            return spectrum.SpectralData(basis, params, *found)
     spec = spectrum.diagonalize(hamiltonian.build(basis, params), with_vectors)
     if cdir is not None and cdir not in _UNWRITABLE_CACHE_DIRS:
-        payload = {"key": _entry_key(basis, params, with_vectors),
-                   "eigenvalues": spec.eigenvalues}
+        payload = {"key": key, "eigenvalues": spec.eigenvalues}
         if with_vectors:
             payload["eigenvectors"] = spec.eigenvectors
-        path = cdir / f"{stem}_{'vec' if with_vectors else 'val'}.npz"
         try:
             cdir.mkdir(parents=True, exist_ok=True)
             with atomic_open(path, "wb") as fh:  # savez adds no suffix
@@ -305,14 +303,7 @@ def trace_summary(point: PointData, diag: str) -> dict:
         "protocol": ensemble.metadata,
     }
     if diag == "survival":
-        hole = point.hole
-        summary.update({
-            "ipr": hole.ipr,
-            "sp_min": hole.sp_min,
-            "sp_min_raw": hole.sp_min_raw,
-            "hole_depth": hole.hole_depth,
-            "hole_window": list(hole.hole_window),
-        })
+        summary.update(asdict(point.hole))
     return summary
 
 
@@ -355,13 +346,6 @@ def _malloc_trim():
 _MALLOC_TRIM = _malloc_trim()
 
 
-def _release_freed_heap() -> None:
-    """Return the process's freed heap memory to the OS, where the C
-    library can; elsewhere do nothing."""
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
-
-
 def _compute_point(config: SweepConfig, out_dir: Path, n: int, m: int,
                    u: float, d: float) -> dict:
     """The (N, M, U, D) record, returned once the point's eigenstate
@@ -373,7 +357,8 @@ def _compute_point(config: SweepConfig, out_dir: Path, n: int, m: int,
         # the point's arrays are freed by now; glibc keeps their brk heap,
         # where its mmap threshold, raised by the first freed work buffer of
         # up to 32 MiB, puts later ones, so the next point would start on it
-        _release_freed_heap()
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
 
 
 # -- journal / results persistence -------------------------------------------

@@ -1,7 +1,9 @@
 import filecmp
 import json
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from importlib import import_module
 from pathlib import Path
 
@@ -9,7 +11,14 @@ import numpy as np
 import pytest
 
 from tiltedbh.cli import main
-from tiltedbh.config import SweepConfig, basis_config, point_config
+from tiltedbh.config import (
+    _COMMAND_KEYS,
+    _POINT_KEYS,
+    SweepConfig,
+    basis_config,
+    point_config,
+)
+from tiltedbh.sweep import CACHE_DIR_ENV
 
 from conftest import fresh_python_env
 
@@ -209,6 +218,18 @@ def test_shipped_configs_load_through_the_schema(path):
         config, _ = point_config(raw, command)
         assert config.system_sizes == [[raw["n_bosons"], raw["n_sites"]]]
         assert (config.u_values, config.d_values) == ([raw["u"]], [raw["d"]])
+
+
+def test_readme_config_table_names_every_config_key():
+    readme = (CONFIGS.parent / "README.md").read_text().splitlines()
+    start = readme.index("| field | default | read by |") + 2
+    end = readme.index("", start)
+    named = [name for row in readme[start:end]
+             for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    keys = [spec.name for spec in fields(SweepConfig)] + list(_POINT_KEYS) + \
+        [key for own in _COMMAND_KEYS.values() for key in own]
+    assert len(named) == len(set(named)), "a key is listed twice"
+    assert sorted(named) == sorted(keys)
 
 
 @pytest.mark.parametrize("command", ["spectrum", "eigenstates", "quench"])
@@ -436,6 +457,24 @@ def test_serial_reruns_are_byte_identical(tmp_path):
                      str(tmp_path / run / "cut")]) == 0
     assert len(list((tmp_path / "a" / "cut" / "traces").iterdir())) == 18
     assert _same_tree(tmp_path / "a", tmp_path / "b")
+
+
+def test_spectrum_after_quench_on_a_shared_cache_writes_the_cold_bytes(
+        tmp_path, monkeypatch):
+    point = {"n_bosons": 4, "n_sites": 4, "u": 0.5, "d": 0.5}
+    spectrum = _write(tmp_path / "spectrum.json", point)
+    quench = _write(tmp_path / "quench.json", {
+        **point, "observables": ["survival"], "survival_sample_count": 6,
+        "time_points": 20, "hole_window": [1.0, 50.0]})
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cold_cache"))
+    assert main(["spectrum", "--config", spectrum, "--out",
+                 str(tmp_path / "cold")]) == 0
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "shared_cache"))
+    assert main(["quench", "--config", quench, "--out",
+                 str(tmp_path / "quench")]) == 0
+    assert main(["spectrum", "--config", spectrum, "--out",
+                 str(tmp_path / "warm")]) == 0
+    assert _same_tree(tmp_path / "cold", tmp_path / "warm")
 
 
 def test_console_script_resolves_to_a_callable():

@@ -18,7 +18,7 @@ from tiltedbh.diagnostics import (
     entropy_from_distributions,
     imbalance_diagonal,
     left_half_site_count,
-    occupation_distributions,
+    occupation_onehot,
     write_eigenstate_csv,
 )
 
@@ -159,11 +159,30 @@ def test_central_window_average_examples():
 def test_occupation_distributions_normalized():
     basis = FockBasis(3, 3)
     probs = np.full(basis.dim, 1.0 / basis.dim)
-    dist = occupation_distributions(probs, basis)
+    dist = (probs @ occupation_onehot(basis).T).reshape(3, 4)
     assert dist.shape == (3, 4)
     assert np.allclose(dist.sum(axis=-1), 1.0)
     ent = entropy_from_distributions(dist)
     assert (ent >= 0).all()
+
+
+def test_eigenstate_diagnostics_builds_the_onehot_once(monkeypatch):
+    import tiltedbh.diagnostics as diagnostics_mod
+
+    calls = []
+    real = diagnostics_mod.occupation_onehot
+
+    def counted(basis):
+        calls.append(basis)
+        return real(basis)
+
+    monkeypatch.setattr(diagnostics_mod, "occupation_onehot", counted)
+    spec = diagonalize(build(FockBasis(4, 4), ModelParams(u=0.5, d=0.5)))
+    chunked = eigenstate_diagnostics(spec, chunk=7)  # dim 35: five chunks
+    assert len(calls) == 1
+    whole = eigenstate_diagnostics(spec)
+    assert np.allclose(chunked.site_entropy, whole.site_entropy,
+                       rtol=0, atol=1e-13)
 
 
 def _distributions_with_edge_values(rng, shape):

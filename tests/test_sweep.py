@@ -288,20 +288,25 @@ def test_workers_get_a_share_of_blas_threads_without_touching_parent_env(
     assert dict(os.environ) == before
 
 
-def test_value_request_served_from_vector_entry(tmp_path, monkeypatch):
+def test_value_request_after_a_vector_entry_matches_a_cold_value_solve(
+        tmp_path, monkeypatch):
     basis = FockBasis(3, 3)
     params = ModelParams(u=0.7, d=0.3)
-    full = cached_diagonalize(basis, params, True, cache_dir=tmp_path)
+    cold = cached_diagonalize(basis, params, False, cache_dir=tmp_path / "a")
+    warm = tmp_path / "b"
+    cached_diagonalize(basis, params, True, cache_dir=warm)
+    values = cached_diagonalize(basis, params, False, cache_dir=warm)
+    assert np.array_equal(values.eigenvalues, cold.eigenvalues)
+    assert not values.has_vectors
+    assert sorted(p.name for p in warm.iterdir()) == [
+        "eig_3x3_u0.7_d0.3_val.npz", "eig_3x3_u0.7_d0.3_vec.npz"]
 
     def no_eigensolve(*args, **kwargs):
-        raise AssertionError("eigensolve despite a cached vector entry")
+        raise AssertionError("eigensolve despite a cached value entry")
 
     monkeypatch.setattr(spectrum, "diagonalize", no_eigensolve)
-    values = cached_diagonalize(basis, params, False, cache_dir=tmp_path)
-    assert np.array_equal(values.eigenvalues, full.eigenvalues)
-    assert not values.has_vectors
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "eig_3x3_u0.7_d0.3_vec.npz"]
+    again = cached_diagonalize(basis, params, False, cache_dir=warm)
+    assert np.array_equal(again.eigenvalues, cold.eigenvalues)
 
 
 def _counting_compute_point(monkeypatch):
@@ -555,13 +560,12 @@ def test_each_point_releases_freed_heap_failed_points_included(tmp_path,
     import tiltedbh.sweep as sweep_mod
 
     released = []
-    monkeypatch.setattr(sweep_mod, "_release_freed_heap",
-                        lambda: released.append(1))
+    monkeypatch.setattr(sweep_mod, "_MALLOC_TRIM", released.append)
     config = _config(d_values=[0.5])
     config.u_values = [-1.0, 0.5, 1.0]  # the first point fails
     records = run_cut(config, tmp_path / "out")
     assert [r["status"] for r in records] == ["error", "ok", "ok"]
-    assert released == [1, 1, 1]
+    assert released == [0, 0, 0]
 
 
 def test_sweep_without_malloc_trim_gives_the_same_results(tmp_path,
