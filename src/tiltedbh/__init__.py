@@ -36,11 +36,11 @@ from .dynamics import (
 from .hamiltonian import HamiltonianMatrix, ModelParams, build, diagonal_energy
 from .initial_states import (
     StateEnsemble,
+    make_rng,
     maximally_imbalanced_states,
     sample_energy_window,
     spectral_moments,
 )
-from .rng import make_rng
 from .spectrum import (
     GapRatioStats,
     R_GOE,

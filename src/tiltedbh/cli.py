@@ -30,7 +30,6 @@ from . import dynamics, hamiltonian, initial_states, spectrum
 from .basis import FockBasis, dimension
 from .diagnostics import write_eigenstate_csv
 from .config import (
-    OBSERVABLES,
     ConfigError,
     SweepConfig,
     basis_config,
@@ -129,12 +128,11 @@ def _write_eigenstates(out, config, point, own, meta) -> None:
 
 def _write_quench(out, config, point, own, meta) -> None:
     for name in own["observables"]:
-        diag = OBSERVABLES[name]
-        trace = point.traces[diag]
+        trace = point.traces[name]
         initial_states.write_state_manifest(
-            out / f"{name}_states.json", point.ensembles[diag], meta)
+            out / f"{name}_states.json", point.ensembles[name], meta)
         dynamics.write_trace_csv(out / f"{name}_trace.csv", trace, meta)
-        summary = trace_summary(point, diag)
+        summary = trace_summary(point, name)
         if name == "survival":
             summary["hole_depth_over_goe"] = point.record["hole_depth_over_goe"]
             if point.analytic is not None:

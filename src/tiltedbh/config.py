@@ -131,6 +131,7 @@ def _validated(name: str, value, convert=None, ok=None, rule=""):
 
 
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_AT_LEAST_TWO = (lambda v: v >= 2, "must be >= 2")  # TimeGrid needs two
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 
@@ -167,8 +168,8 @@ class SweepConfig:
         "must be >= 1 when set")
     time_min: float = _setting(0.1, _real, *_POSITIVE)
     time_max: float = _setting(1.0e4, _real)
-    time_points: int = _setting(400, _integer, *_AT_LEAST_ONE)
-    time_points_observables: int = _setting(400, _integer, *_AT_LEAST_ONE)
+    time_points: int = _setting(400, _integer, *_AT_LEAST_TWO)
+    time_points_observables: int = _setting(400, _integer, *_AT_LEAST_TWO)
     time_max_observables: float | None = _setting(None, _optional(_real))
     smoothing_window: int = _setting(
         dynamics.DEFAULT_SMOOTHING_WINDOW, _integer,
@@ -206,10 +207,6 @@ class SweepConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @property
-    def config_hash(self) -> str:
-        return self.metadata()["config_hash"]
 
     def metadata(self, extra: dict | None = None) -> dict:
         """``output_metadata`` of this config; ``extra`` holds settings

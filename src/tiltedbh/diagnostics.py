@@ -6,7 +6,8 @@ Because total boson number is fixed, the reduced density matrix of one
 site is diagonal in the occupation basis (the rest of the chain pins the
 site occupation), so S^(i) = -sum_n p_n ln p_n with
 p_n = sum over basis states with n bosons on site i of |c|^2.  The dense
-partial trace exists only as a test oracle.  All entropies are in nats.
+partial trace is only a test oracle, in ``tests/conftest.py``.  All
+entropies are in nats.
 """
 
 from __future__ import annotations
@@ -155,10 +156,10 @@ def eigenstate_diagnostics(spectral: SpectralData,
     for a in range(0, dim, chunk):
         b = min(a + chunk, dim)
         probs = (vecs[:, a:b] ** 2).T  # rows = eigenstates
-        pr[a:b] = 1.0 / (probs ** 2).sum(axis=1)
         ent[a:b] = entropy_from_distributions(
             (probs @ onehot_t).reshape(b - a, basis.n_sites, -1))
         imb[a:b] = probs @ imb_diag
+        pr[a:b] = 1.0 / np.square(probs, out=probs).sum(axis=1)  # last use
     return EigenstateDiagnostics(
         participation=pr,
         site_entropy=ent,

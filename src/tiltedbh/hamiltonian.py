@@ -1,11 +1,11 @@
 """Sparse real-symmetric Hamiltonian of the tilted Bose-Hubbard chain.
 
-    H = -J sum_{i=1}^{M-1} (b_i^dag b_{i+1} + h.c.)
+    H = -sum_{i=1}^{M-1} (b_i^dag b_{i+1} + h.c.)
         + sum_{i=1}^{M} [ (U/2) n_i (n_i - 1) + D i n_i ]
 
-Open boundary conditions; the tilt index i runs from 1 at the left edge,
-so diagonal energies are reproducible number for number.  Only the upper
-triangle of the hopping part is stored, the transpose is implied.
+in units of the hopping J, with open boundaries; the tilt index i runs
+from 1 at the left edge, so diagonal energies are reproducible number for
+number.  Only the upper triangle of the symmetric hopping part is stored.
 """
 
 from __future__ import annotations
@@ -28,15 +28,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Couplings in units of the hopping: interaction u, tilt d, hopping j."""
+    """Couplings in units of the hopping: interaction u and tilt d."""
 
     u: float
     d: float
-    j: float = 1.0
 
     def __post_init__(self):
-        if not self.j > 0:
-            raise ValueError(f"hopping j must be positive, got {self.j}")
         if self.u < 0 or self.d < 0:
             raise ValueError(
                 f"interaction and tilt must be non-negative, got u={self.u}, d={self.d}"
@@ -116,7 +113,7 @@ def build(basis: FockBasis, params: ModelParams) -> HamiltonianMatrix:
     """Assemble the Hamiltonian over the canonical Fock basis.
 
     Off-diagonal elements connect states differing by one boson moved
-    between adjacent sites, with amplitude -J sqrt(n_i (n_{i+1} + 1)); the
+    between adjacent sites, with amplitude -sqrt(n_i (n_{i+1} + 1)); the
     sqrt argument is formed in integers before the single float sqrt.
     """
     states = basis.states
@@ -139,7 +136,7 @@ def build(basis: FockBasis, params: ModelParams) -> HamiltonianMatrix:
         assert (dst > src).all()
         rows_parts.append(src)
         cols_parts.append(dst)
-        vals_parts.append(-params.j * np.sqrt(weight.astype(np.float64)))
+        vals_parts.append(-np.sqrt(weight.astype(np.float64)))
 
     return HamiltonianMatrix(basis, params, diag, np.concatenate(rows_parts),
                              np.concatenate(cols_parts),

@@ -22,10 +22,10 @@ from . import hamiltonian
 from .basis import FockBasis
 from .diagnostics import left_half_site_count
 from .hamiltonian import HamiltonianMatrix, ModelParams
-from .rng import make_rng
 from .tables import write_json
 
 __all__ = [
+    "make_rng",
     "StateEnsemble",
     "InsufficientCandidatesError",
     "spectral_moments",
@@ -33,6 +33,13 @@ __all__ = [
     "maximally_imbalanced_states",
     "write_state_manifest",
 ]
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """The generator of every sample.  Philox is counter based, so a fixed
+    seed gives bit-identical streams on every platform and for any worker
+    count; the seed is echoed into every output file that depends on it."""
+    return np.random.Generator(np.random.Philox(int(seed)))
 
 
 class InsufficientCandidatesError(ValueError):
@@ -117,7 +124,7 @@ def sample_energy_window(basis: FockBasis, *, sample_count: int,
         "spectral_sd": float(e_sd),
         "reference_u": reference.u,
         "reference_d": reference.d,
-        "reference_j": reference.j,
+        "reference_j": 1.0,  # energies are in units of the hopping
         "n_candidates": int(candidates.size),
     }
     return StateEnsemble(chosen, occ, energies, meta)

@@ -32,7 +32,7 @@ import numpy as np
 from . import dynamics, hamiltonian, initial_states, spectrum
 from ._version import __version__
 from .basis import FockBasis, dimension
-from .config import SweepConfig
+from .config import OBSERVABLES, SweepConfig
 from .diagnostics import (
     EigenstateDiagnostics,
     central_window_average,
@@ -82,10 +82,11 @@ def _point_stem(n, m, u, d) -> str:
 
 
 def _entry_key(basis, params, with_vectors: bool) -> np.ndarray:
-    """What a cache entry holds: the point, the package version, the eigh
-    driver and whether eigenvectors are present."""
+    """What a cache entry holds: the point, with the unit hopping that keys
+    have always carried, the package version, the eigh driver and whether
+    eigenvectors are present."""
     return np.array([str(basis.n_bosons), str(basis.n_sites),
-                     *(repr(float(x)) for x in (params.u, params.d, params.j)),
+                     repr(float(params.u)), repr(float(params.d)), "1.0",
                      __version__, spectrum.EIGH_DRIVER[with_vectors],
                      str(with_vectors)])
 
@@ -157,15 +158,15 @@ def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None):
 # -- per-point computation ---------------------------------------------------
 
 
-def _ensemble(basis: FockBasis, config: SweepConfig, diag: str):
-    """The seeded initial states of the trace ``diag``; identical in every
-    worker for a fixed seed."""
-    if diag == "imbalance_dynamics":
+def _ensemble(basis: FockBasis, config: SweepConfig, name: str):
+    """The seeded initial states of the trace of observable ``name``;
+    identical in every worker for a fixed seed."""
+    if name == "imbalance":
         return initial_states.maximally_imbalanced_states(
             basis, occupation_cap=config.occupation_cap,
             max_states=config.imbalance_max_states, seed=config.seed)
     return initial_states.sample_energy_window(
-        basis, sample_count=(config.survival_sample_count if diag == "survival"
+        basis, sample_count=(config.survival_sample_count if name == "survival"
                              else config.entropy_sample_count),
         reference=ModelParams(u=config.reference_u, d=config.reference_d),
         window_halfwidth=config.window_halfwidth,
@@ -181,8 +182,8 @@ class PointData:
     spectral: spectrum.SpectralData | None = None
     gap_stats: spectrum.GapRatioStats | None = None
     profiles: EigenstateDiagnostics | None = None
-    ensembles: dict = field(default_factory=dict)  # diagnostic -> StateEnsemble
-    traces: dict = field(default_factory=dict)     # diagnostic -> QuenchTrace
+    ensembles: dict = field(default_factory=dict)  # observable -> StateEnsemble
+    traces: dict = field(default_factory=dict)     # observable -> QuenchTrace
     hole: dynamics.SurvivalAnalysis | None = None
     # (AnalyticCurveInputs, curve on the survival grid), set by ``quench``
     analytic: tuple | None = None
@@ -250,10 +251,9 @@ def run_point(config: SweepConfig, n: int, m: int, u: float,
                     prof.imbalance, config.central_window)
 
         # every ensemble before any trace: an empty one fails the point first
-        point.ensembles = {
-            diag: _ensemble(basis, config, diag)
-            for diag in ("survival", "entropy_dynamics", "imbalance_dynamics")
-            if diag in diags}
+        point.ensembles = {name: _ensemble(basis, config, name)
+                           for name, diag in OBSERVABLES.items()
+                           if diag in diags}
 
         if "survival" in diags:
             grid = dynamics.log_time_grid(
@@ -273,16 +273,14 @@ def run_point(config: SweepConfig, n: int, m: int, u: float,
             record["hole_depth_over_goe"] = hole.hole_depth / d_goe
             record["survival_relaxation"] = trace.relaxation_value
 
-        observed = [(diag, name) for diag, name in
-                    (("entropy_dynamics", "entropy"),
-                     ("imbalance_dynamics", "imbalance")) if diag in diags]
+        observed = [name for name in point.ensembles if name != "survival"]
         if observed:
             obs_grid = dynamics.log_time_grid(
                 config.time_min, config.time_max_observables or config.time_max,
                 config.time_points_observables)
-        for diag, name in observed:
-            trace = point.traces[diag] = dynamics.observable_trace(
-                point.ensembles[diag].indices, spec, obs_grid, name,
+        for name in observed:
+            trace = point.traces[name] = dynamics.observable_trace(
+                point.ensembles[name].indices, spec, obs_grid, name,
                 config.smoothing_window)
             record[f"{name}_relaxation"] = trace.relaxation_value
         if "entropy_dynamics" in diags:
@@ -291,10 +289,10 @@ def run_point(config: SweepConfig, n: int, m: int, u: float,
     return point
 
 
-def trace_summary(point: PointData, diag: str) -> dict:
+def trace_summary(point: PointData, name: str) -> dict:
     """Relaxation value, ensemble protocol and, for the survival
-    probability, the correlation hole of the point's ``diag`` trace."""
-    trace, ensemble = point.traces[diag], point.ensembles[diag]
+    probability, the correlation hole of the point's trace of ``name``."""
+    trace, ensemble = point.traces[name], point.ensembles[name]
     summary = {
         "observable": trace.observable,
         "relaxation_value": trace.relaxation_value,
@@ -302,7 +300,7 @@ def trace_summary(point: PointData, diag: str) -> dict:
         "n_states": len(ensemble),
         "protocol": ensemble.metadata,
     }
-    if diag == "survival":
+    if name == "survival":
         summary.update(asdict(point.hole))
     return summary
 
@@ -323,12 +321,12 @@ def _write_point_files(config: SweepConfig, out_dir: Path,
                              metadata)
     if config.save_traces and point.traces:
         (out_dir / "traces").mkdir(exist_ok=True)
-        for diag, trace in point.traces.items():
-            name = f"{trace.observable}_{stem}"
+        for observable, trace in point.traces.items():
+            name = f"{observable}_{stem}"
             dynamics.write_trace_csv(out_dir / "traces" / f"{name}.csv", trace,
                                      metadata)
             write_json(out_dir / "traces" / f"{name}.json",
-                       trace_summary(point, diag), metadata)
+                       trace_summary(point, observable), metadata)
     return rec
 
 

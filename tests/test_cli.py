@@ -249,7 +249,9 @@ def test_readme_config_table_names_every_config_key():
                                  {"eigenvalue_limit": 10},
                                  {"time_max_observables": 0.05},
                                  {"observables": ["entropy", "spin"]},
-                                 {"observables": []}],
+                                 {"observables": []},
+                                 {"time_points": 1},
+                                 {"time_points_observables": 1}],
                          ids=["typo", "even_window", "negative_time",
                               "workers", "save_traces",
                               "save_eigenstate_profiles", "boolean_seed",
@@ -261,7 +263,8 @@ def test_readme_config_table_names_every_config_key():
                               "zero_vector_limit", "hopping",
                               "goe_reference", "value_limit",
                               "observable_time_below_min",
-                              "unknown_observable", "no_observables"])
+                              "unknown_observable", "no_observables",
+                              "one_time_point", "one_observable_time_point"])
 def test_bad_point_config_exits_one_before_writing(tmp_path, capsys, command,
                                                    bad):
     cfg = _write(tmp_path / "c.json", {"n_bosons": 3, "n_sites": 3,
@@ -286,12 +289,15 @@ _SWEEP = {"system_sizes": [[3, 3]], "u_values": [0.5], "d_values": [0.5],
                                  {"j": 2.0}, {"goe_reference": 0.536},
                                  {"eigenvalue_limit": 10},
                                  {"time_max": 0.05},
-                                 [_SWEEP]],
+                                 [_SWEEP],
+                                 {"time_points": 1},
+                                 {"time_points_observables": 1}],
                          ids=["string_flag", "string_size",
                               "fractional_integer", "infinite_energy",
                               "negative_seed", "zero_vector_limit", "hopping",
                               "goe_reference", "value_limit",
-                              "time_max_below_min", "json_array"])
+                              "time_max_below_min", "json_array",
+                              "one_time_point", "one_observable_time_point"])
 def test_bad_sweep_config_exits_one_before_writing(tmp_path, capsys, bad):
     cfg = _write(tmp_path / "c.json",
                  {**_SWEEP, **bad} if isinstance(bad, dict) else bad)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import xlogy
@@ -255,3 +257,17 @@ def test_write_eigenstate_csv(tmp_path):
     assert header == ["index", "energy", "normalized_energy", "pr",
                       "s_site_1", "s_site_2", "s_site_3", "s_avg", "imbalance"]
     assert len(lines) == 2 + basis.dim
+
+
+def test_profiles_square_the_amplitudes_of_a_chunk_in_place():
+    # at 7x7 one chunk holds every eigenstate: its squared amplitudes are one
+    # dim x dim matrix, and squaring them again into a new array would add
+    # a second one
+    spec = diagonalize(build(FockBasis(7, 7), ModelParams(u=0.5, d=0.8)))
+    tracemalloc.start()
+    try:
+        eigenstate_diagnostics(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 8 * spec.dim ** 2

@@ -23,15 +23,13 @@ def test_params_validation():
         ModelParams(u=-0.1, d=0.0)
     with pytest.raises(ValueError):
         ModelParams(u=0.1, d=-1.0)
-    with pytest.raises(ValueError):
-        ModelParams(u=0.1, d=0.1, j=0.0)
 
 
 def test_single_boson_tight_binding_structure():
     # one boson: diagonal is the tilt ladder, hopping elements all -J
     m = 6
     basis = FockBasis(1, m)
-    h = build(basis, ModelParams(u=0.0, d=0.25, j=1.0))
+    h = build(basis, ModelParams(u=0.0, d=0.25))
     ladder = 0.25 * np.arange(1, m + 1)
     order = np.argsort(h.diagonal)
     assert np.allclose(np.sort(h.diagonal), np.sort(ladder))

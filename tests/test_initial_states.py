@@ -171,3 +171,11 @@ def test_manifest_roundtrip(tmp_path):
     assert len(data["occupations"]) == 5
     assert len(data["window_bounds"]) == 2
     assert [basis.rank(occ) for occ in data["occupations"]] == data["basis_indices"]
+
+
+def test_energy_window_manifest_keeps_the_reference_hopping(tmp_path):
+    ens = sample_energy_window(FockBasis(4, 4), sample_count=3, seed=1,
+                               **WINDOW)
+    write_state_manifest(tmp_path / "states.json", ens)
+    data = json.loads((tmp_path / "states.json").read_text())
+    assert data["reference_j"] == 1.0

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,15 @@ def test_every_exported_name_resolves(module_name):
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names missing attributes"
     assert len(set(exported)) == len(exported), f"{module_name}: duplicates"
+
+
+def test_readme_layout_names_every_module():
+    readme = (TRACING.parent.parent / "README.md").read_text()
+    layout = readme.split("## Layout", 1)[1].split("```")[1]
+    named = re.findall(r"^  (\w+)\.py ", layout, re.MULTILINE)
+    assert len(named) == len(set(named)), "a module is listed twice"
+    assert sorted(named) == [name.split(".")[1] for name in MODULES
+                             if name != "tiltedbh._version"]
 
 
 def _tracer_targets():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tiltedbh import SweepConfig, run_chaos_map, run_cut
+from tiltedbh import SweepConfig, __version__, run_chaos_map, run_cut
 from tiltedbh import spectrum
 from tiltedbh.config import ALLOWED_DIAGNOSTICS, ConfigError, load_config
 from tiltedbh.sweep import (
@@ -73,7 +73,7 @@ def test_echoed_config_revalidates_to_itself(tmp_path):
         if k not in ("config_hash", "version")
     })
     assert again == config
-    assert again.config_hash == config.config_hash
+    assert again.metadata()["config_hash"] == config.metadata()["config_hash"]
 
 
 def test_chaos_map_records_and_determinism(tmp_path):
@@ -253,7 +253,8 @@ def test_pooled_cut_with_every_diagnostic_matches_the_serial_run(tmp_path):
     for name in files:
         # the same bytes once the config hash, which holds workers, agrees
         pooled_bytes = (tmp_path / "pooled" / name).read_bytes().replace(
-            pooled.config_hash.encode(), serial.config_hash.encode())
+            pooled.metadata()["config_hash"].encode(),
+            serial.metadata()["config_hash"].encode())
         assert pooled_bytes == (tmp_path / "serial" / name).read_bytes(), name
     assert sorted(path.relative_to(tmp_path / "pooled")
                   for sub in ("traces", "eigenstates")
@@ -273,6 +274,14 @@ def test_eigendata_cache_roundtrip(tmp_path):
     stats_direct = mean_gap_ratio(direct.eigenvalues)
     stats_cached = mean_gap_ratio(second.eigenvalues)
     assert stats_direct == stats_cached
+
+
+def test_cache_entry_key_keeps_its_format():
+    # the hopping, once a parameter, is still written as 1.0, so the entries
+    # already on disk stay hits
+    key = _entry_key(FockBasis(3, 3), ModelParams(u=0.7, d=0.3), True)
+    assert key.tolist() == ["3", "3", "0.7", "0.3", "1.0", __version__,
+                            "evd", "True"]
 
 
 def test_workers_get_a_share_of_blas_threads_without_touching_parent_env(
