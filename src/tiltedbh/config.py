@@ -203,21 +203,25 @@ class SweepConfig:
         if values["time_max_observables"] is not None and \
                 values["time_max_observables"] <= values["time_min"]:
             raise ConfigError("time_max_observables: must exceed time_min")
+        if "survival" in values["diagnostics"]:  # the grid run_point uses
+            times = dynamics.log_time_grid(values["time_min"], values["time_max"],
+                                           values["time_points"]).points
+            lo, hi = values["hole_window"]
+            if not ((times >= lo) & (times <= hi)).any():
+                raise ConfigError(f"hole_window: [{lo}, {hi}] holds no time "
+                                  f"of the survival grid")
         return cls(**values)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def metadata(self, extra: dict | None = None) -> dict:
         """``output_metadata`` of this config; ``extra`` holds settings
         outside the schema that also enter the hash."""
-        return output_metadata({**self.to_dict(), **(extra or {})}, self.seed)
+        return output_metadata({**asdict(self), **(extra or {})}, self.seed)
 
     def echo(self, out_dir) -> None:
         """Write the normalized config, which ``from_dict`` maps to itself."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "config_normalized.json", self.to_dict(),
+        write_json(out / "config_normalized.json", asdict(self),
                    self.metadata())
 
 

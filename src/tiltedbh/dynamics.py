@@ -32,6 +32,7 @@ import numpy as np
 
 from .diagnostics import (
     NORM_ATOL,
+    EmptyWindowError,
     NotNormalizedError,
     entropy_from_distributions,
     imbalance_diagonal,
@@ -50,7 +51,6 @@ __all__ = [
     "QuenchTrace",
     "SurvivalAnalysis",
     "AnalyticCurveInputs",
-    "WindowEmptyError",
     "DEFAULT_SMOOTHING_WINDOW",
     "DEFAULT_HOLE_WINDOW",
     "ensemble_amplitudes",
@@ -77,10 +77,6 @@ _TRACE_BUFFER_BYTES = 16 * 2 ** 20
 
 # kernel centers per (grid x centers) block of the analytic curve's densities
 _KDE_CHUNK = 512
-
-
-class WindowEmptyError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -287,7 +283,7 @@ def correlation_hole_depth(trace: QuenchTrace, ipr: float,
     lo, hi = search_window
     mask = (trace.time_grid.points >= lo) & (trace.time_grid.points <= hi)
     if not mask.any():
-        raise WindowEmptyError(
+        raise EmptyWindowError(
             f"no grid times inside the hole search window [{lo}, {hi}]"
         )
     sp_min = float(trace.smoothed_mean[mask].min())

@@ -79,17 +79,6 @@ class HamiltonianMatrix:
         """tr(H^2) = sum diag^2 + 2 sum (upper off-diagonal)^2."""
         return float((self.diagonal ** 2).sum() + 2.0 * (self.values ** 2).sum())
 
-    def to_sparse(self) -> scipy.sparse.csr_matrix:
-        """Full symmetric CSR matrix (both triangles explicit)."""
-        import scipy.sparse  # only callers of this method need it
-        d = self.dim
-        idx = np.arange(d)
-        rows = np.concatenate([idx, self.rows, self.cols])
-        cols = np.concatenate([idx, self.cols, self.rows])
-        vals = np.concatenate([self.diagonal, self.values, self.values])
-        return scipy.sparse.coo_matrix((vals, (rows, cols)),
-                                       shape=(d, d)).tocsr()
-
     def to_dense(self) -> np.ndarray:
         h = np.zeros((self.dim, self.dim))
         h[np.arange(self.dim), np.arange(self.dim)] = self.diagonal

@@ -226,6 +226,10 @@ def run_point(config: SweepConfig, n: int, m: int, u: float,
     with record_failures(record):
         record["dim"] = dimension(n, m)
         basis = FockBasis(n, m)
+        # every ensemble before the solve: an empty one fails the point first
+        point.ensembles = {name: _ensemble(basis, config, name)
+                           for name, diag in OBSERVABLES.items()
+                           if diag in diags}
         spec = point.spectral = cached_diagonalize(
             basis, ModelParams(u=u, d=d), bool(diags - {"gap_ratio"}),
             cache_dir=config.cache_dir)
@@ -249,11 +253,6 @@ def run_point(config: SweepConfig, n: int, m: int, u: float,
             if "imbalance" in diags:
                 record["imbalance_central"] = central_window_average(
                     prof.imbalance, config.central_window)
-
-        # every ensemble before any trace: an empty one fails the point first
-        point.ensembles = {name: _ensemble(basis, config, name)
-                           for name, diag in OBSERVABLES.items()
-                           if diag in diags}
 
         if "survival" in diags:
             grid = dynamics.log_time_grid(

@@ -3,7 +3,7 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from importlib import import_module
 from pathlib import Path
 
@@ -169,6 +169,16 @@ def test_resource_limit_exit_three(tmp_path):
     assert main(["cut", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_value_only_dense_limit_exit_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("tiltedbh.spectrum.DENSE_EIGENVALUE_LIMIT", 5)
+    cfg = _write(tmp_path / "c.json",
+                 {"n_bosons": 3, "n_sites": 3, "u": 0.5, "d": 0.5})
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
+    assert ": skipped_dimension (" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_partial_failure_exit_two(tmp_path, monkeypatch):
     import tiltedbh.sweep as sweep_mod
 
@@ -209,8 +219,8 @@ def test_shipped_configs_load_through_the_schema(path):
     command = path.name.split("_")[0]
     if "system_sizes" in raw:
         config = SweepConfig.from_dict(raw)
-        assert config.to_dict() == SweepConfig.from_dict(
-            config.to_dict()).to_dict()
+        assert asdict(config) == asdict(SweepConfig.from_dict(
+            asdict(config)))
     elif command == "basis":
         n, m, own = basis_config(raw)
         assert (n, m) == (raw["n_bosons"], raw["n_sites"])
@@ -291,13 +301,16 @@ _SWEEP = {"system_sizes": [[3, 3]], "u_values": [0.5], "d_values": [0.5],
                                  {"time_max": 0.05},
                                  [_SWEEP],
                                  {"time_points": 1},
-                                 {"time_points_observables": 1}],
+                                 {"time_points_observables": 1},
+                                 {"diagnostics": ["survival"],
+                                  "time_max": 10.0}],
                          ids=["string_flag", "string_size",
                               "fractional_integer", "infinite_energy",
                               "negative_seed", "zero_vector_limit", "hopping",
                               "goe_reference", "value_limit",
                               "time_max_below_min", "json_array",
-                              "one_time_point", "one_observable_time_point"])
+                              "one_time_point", "one_observable_time_point",
+                              "hole_window_after_time_max"])
 def test_bad_sweep_config_exits_one_before_writing(tmp_path, capsys, bad):
     cfg = _write(tmp_path / "c.json",
                  {**_SWEEP, **bad} if isinstance(bad, dict) else bad)
@@ -393,27 +406,30 @@ def test_negative_seed_flag_exits_one_before_writing(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_hole_window_missing_the_survival_grid_exits_one(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", {
+        "n_bosons": 3, "n_sites": 3, "u": 0.5, "d": 0.5,
+        "observables": ["survival"], "survival_sample_count": 3,
+        "time_points": 5, "time_max": 2.0, "hole_window": [5.0, 10.0]})
+    out = tmp_path / "out"
+    assert main(["quench", "--config", cfg, "--out", str(out)]) == 1
+    assert "config error: hole_window:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_point_command_exits_two_without_outputs(tmp_path, capsys):
-    cases = [
-        # a hole window holding no grid time fails the point, not the config
-        ({"n_bosons": 3, "n_sites": 3, "u": 0.5, "d": 0.5,
-          "observables": ["survival"], "survival_sample_count": 3,
-          "time_points": 5, "time_max": 2.0, "hole_window": [5.0, 10.0]},
-         "WindowEmptyError"),
-        # so does an analytic curve whose fit fails after the traces
-        ({"n_bosons": 3, "n_sites": 3, "u": 1000.0, "d": 0.0,
-          "observables": ["survival"], "survival_sample_count": 1,
-          "time_points": 50, "hole_window": [0.5, 100.0],
-          "window_halfwidth": 5.0},
-         "ValueError: eta must exceed 1"),
-    ]
-    for i, (payload, error) in enumerate(cases):
-        cfg = _write(tmp_path / f"c{i}.json", payload)
-        out = tmp_path / f"out{i}"
-        assert main(["quench", "--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("point N=3 M=3") and f": error ({error}" in err
-        assert not out.exists()
+    # an analytic curve whose fit fails after the traces fails the point
+    cfg = _write(tmp_path / "c.json", {
+        "n_bosons": 3, "n_sites": 3, "u": 1000.0, "d": 0.0,
+        "observables": ["survival"], "survival_sample_count": 1,
+        "time_points": 50, "hole_window": [0.5, 100.0],
+        "window_halfwidth": 5.0})
+    out = tmp_path / "out"
+    assert main(["quench", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("point N=3 M=3")
+    assert ": error (ValueError: eta must exceed 1" in err
+    assert not out.exists()
 
 
 def test_basis_config_typo_exits_one_before_writing(tmp_path):

@@ -26,10 +26,9 @@ from tiltedbh import (
     survival_trace,
 )
 from tiltedbh import dynamics
-from tiltedbh.diagnostics import imbalance_diagonal
+from tiltedbh.diagnostics import EmptyWindowError, imbalance_diagonal
 from tiltedbh.dynamics import (
     TimeGrid,
-    WindowEmptyError,
     ldos_fourier_survival,
     write_trace_csv,
 )
@@ -227,13 +226,13 @@ def test_norm_and_energy_conserved_under_evolution(chaotic_44):
     ens = maximally_imbalanced_states(basis, occupation_cap=3,
                                       max_states=None, seed=0)
     coeff = ensemble_amplitudes(ens.indices, spec)
-    sparse = h.to_sparse()
+    dense = h.to_dense()
     e0 = None
     for t in (0.0, 0.37, 5.1, 211.0):
         psi = fock_amplitudes_at(coeff, spec, t)
         norms = np.linalg.norm(psi, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-10
-        energy = np.einsum("ij,ij->i", psi.conj(), (sparse @ psi.T).T).real
+        energy = np.einsum("ij,ij->i", psi.conj(), (dense @ psi.T).T).real
         if e0 is None:
             e0 = energy
         else:
@@ -263,7 +262,7 @@ def test_hole_depth_zero_without_a_dip():
     hole = correlation_hole_depth(trace, ipr)
     assert hole.hole_depth == pytest.approx(0.0, abs=1e-9)
     assert hole.sp_min == pytest.approx(ipr)
-    with pytest.raises(WindowEmptyError):
+    with pytest.raises(EmptyWindowError):
         correlation_hole_depth(trace, ipr, search_window=(1e6, 1e7))
 
 

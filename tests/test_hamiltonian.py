@@ -115,9 +115,3 @@ def test_export_coo_roundtrip(tmp_path):
         rebuilt[int(r), int(c)] += float(v)
     assert np.allclose(rebuilt, h.to_dense())
     assert path.read_text().startswith("# seed=1\n")
-
-
-def test_sparse_matches_dense():
-    basis = FockBasis(3, 3)
-    h = build(basis, ModelParams(u=0.5, d=1.5))
-    assert np.allclose(h.to_sparse().toarray(), h.to_dense())

@@ -1,9 +1,11 @@
-"""Guards on the names other code reaches: every exported name resolves,
-every function the benchmark's tracer wraps exists, and only a process
-that runs an eigensolve loads scipy."""
+"""Guards on the names other code reaches: every exported name and every
+library name the README cites resolves, every function the benchmark's
+tracer wraps exists, and only a process that runs an eigensolve loads
+scipy."""
 
 import importlib
 import importlib.util
+import inspect
 import json
 import pkgutil
 import re
@@ -38,6 +40,32 @@ def test_readme_layout_names_every_module():
     assert len(named) == len(set(named)), "a module is listed twice"
     assert sorted(named) == [name.split(".")[1] for name in MODULES
                              if name != "tiltedbh._version"]
+
+
+def test_readme_dotted_library_names_resolve():
+    # a name such as `tbh.run_cut(config, out_dir)` or `spectrum.diagonalize`
+    # whose head is the package, one of its modules or an exported class;
+    # output files such as `spectrum.csv` share a module's name
+    readme = (TRACING.parent.parent / "README.md").read_text()
+    heads = {"tiltedbh": tiltedbh, "tbh": tiltedbh}
+    heads.update((name.split(".")[1], importlib.import_module(name))
+                 for name in MODULES)
+    heads.update((name, getattr(tiltedbh, name)) for name in tiltedbh.__all__
+                 if inspect.isclass(getattr(tiltedbh, name)))
+    cited = [name for name in re.findall(r"`(\w+(?:\.\w+)+)(?:\([^`]*\))?`",
+                                         readme)
+             if name.split(".")[0] in heads and
+             name.rsplit(".", 1)[1] not in ("csv", "json", "jsonl", "txt")]
+    assert cited
+    missing = []
+    for name in cited:
+        head, *chain = name.split(".")
+        obj = heads[head]
+        for part in chain:
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(name)
+    assert not missing, f"README names missing attributes: {missing}"
 
 
 def _tracer_targets():
@@ -91,14 +119,13 @@ loaded["solve"] = [name for name in
                    ("scipy.linalg", "scipy.special", "scipy.sparse")
                    if name in sys.modules]
 assert entropy_from_distributions([0.5, 0.5, 0.0]) == math.log(2)
-assert (h.to_sparse().toarray() == h.to_dense()).all()
 print(json.dumps(loaded))
 """
 
 
 def test_package_import_loads_neither_scipy_special_nor_sparse(tmp_path):
-    # scipy.linalg is imported by the eigensolve, scipy.sparse by to_sparse,
-    # and the entropies need no scipy module
+    # scipy.linalg is imported by the eigensolve, and the entropies need no
+    # scipy module
     config = tmp_path / "quench.json"
     config.write_text(json.dumps({
         "n_bosons": 4, "n_sites": 4, "u": 0.5, "d": 0.5,

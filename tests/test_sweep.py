@@ -216,11 +216,25 @@ def test_empty_imbalance_ensemble_is_a_point_error():
     assert "InsufficientCandidatesError" in record["error"]
     assert "occupation_cap 3" in record["error"]
     assert exit_code_for([record]) == 2
-    # every ensemble is built before any trace: the static fields stay,
-    # and no survival field is filled
-    assert isinstance(record["mean_r"], float)
-    assert isinstance(record["pr_central_over_goe"], float)
+    # every ensemble is built before the solve: no diagnostic is filled
+    assert "mean_r" not in record
+    assert "pr_central_over_goe" not in record
     assert "ipr" not in record
+
+
+def test_window_too_narrow_fails_the_point_before_its_solve(tmp_path,
+                                                            monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve before the ensembles were drawn")
+
+    monkeypatch.setattr("tiltedbh.sweep.spectrum.diagonalize", no_eigensolve)
+    # the 3x3 basis has 10 states, so no window holds 200
+    config = _config(diagnostics=["survival"], survival_sample_count=200,
+                     cache_dir=str(tmp_path / "cache"))
+    record = run_point(config, 3, 3, 0.5, 0.5).record
+    assert record["status"] == "error"
+    assert record["error"].startswith("InsufficientCandidatesError")
+    assert not (tmp_path / "cache").exists()
 
 
 def test_parallel_workers_reproduce_serial_results(tmp_path):
