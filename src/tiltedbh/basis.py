@@ -76,27 +76,19 @@ class FockBasis:
         return self._states
 
     def _enumerate(self) -> np.ndarray:
-        # blocks of constant leading occupation, memoized on (n, m) so the
-        # construction is a stack of vectorized copies rather than a
-        # per-state python loop
-        cache: dict[tuple[int, int], np.ndarray] = {}
-
-        def fill(n: int, m: int) -> np.ndarray:
-            if m == 1:
-                return np.full((1, 1), n, dtype=np.int32)
-            got = cache.get((n, m))
-            if got is not None:
-                return got
-            blocks = []
-            for k in range(n, -1, -1):
-                rest = fill(n - k, m - 1)
-                lead = np.full((rest.shape[0], 1), k, dtype=np.int32)
-                blocks.append(np.hstack([lead, rest]))
-            out = np.vstack(blocks)
-            cache[(n, m)] = out
-            return out
-
-        return fill(self.n_bosons, self.n_sites)
+        # memoized bottom-up over sites: tails[r] holds the states of r
+        # bosons on the last k - 1 sites, and pass k stacks, for each n, one
+        # block per leading occupation n - r = n, ..., 0 over tails[r] (the
+        # last pass only for n = N).  A plain loop holds no reference cycle,
+        # so reference counting frees each pass's tables in the next.
+        n_max, m = self.n_bosons, self.n_sites
+        tails = [np.full((1, 1), n, dtype=np.int32) for n in range(n_max + 1)]
+        for k in range(2, m + 1):
+            tails = [np.vstack([
+                np.hstack([np.full((len(rest), 1), n - r, dtype=np.int32), rest])
+                for r, rest in enumerate(tails[:n + 1])
+            ]) for n in (range(n_max + 1) if k < m else [n_max])]
+        return tails[-1]
 
     # -- ranking ----------------------------------------------------------
 

@@ -198,6 +198,13 @@ class SweepConfig:
             values[name] = _validated(name, value, meta["convert"],
                                       meta["ok"], meta["rule"])
 
+        # journal keys and file names tell points apart by size and .12g text
+        for name, key in (("system_sizes", tuple), ("u_values", "{:.12g}".format),
+                          ("d_values", "{:.12g}".format)):
+            keys = [key(v) for v in values[name]]
+            for i, k in enumerate(keys):
+                if k in keys[:i]:
+                    raise ConfigError(f"{name}: entry {i} repeats entry {keys.index(k)}")
         if values["time_min"] >= values["time_max"]:
             raise ConfigError("time_min/time_max: need 0 < time_min < time_max")
         if values["time_max_observables"] is not None and \

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -43,13 +44,30 @@ def test_enumerate_small_examples():
     assert FockBasis(3, 2).states.tolist() == [[3, 0], [2, 1], [1, 2], [0, 3]]
 
 
-@pytest.mark.parametrize("n,m", [(8, 8), (3, 5), (5, 3), (6, 1), (1, 6)])
+@pytest.mark.parametrize("n,m", [(8, 8), (3, 5), (5, 3), (6, 1), (1, 6),
+                                 (1, 1), (7, 7)])
 def test_enumerate_matches_composition_generator(n, m):
     basis = FockBasis(n, m)
     got = {tuple(int(x) for x in row) for row in basis.states}
     expected = set(compositions(n, m))
     assert len(basis.states) == basis.dim
     assert got == expected
+    ordered = np.array(sorted(compositions(n, m), reverse=True), dtype=np.int32)
+    assert basis.states.dtype == np.int32
+    np.testing.assert_array_equal(basis.states, ordered)
+
+
+def test_enumeration_leaves_no_garbage_for_the_cyclic_gc():
+    # reference counting alone must free every temporary of the build
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        FockBasis(7, 7).states
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_enumeration_order_is_decreasing_lexicographic():

@@ -303,14 +303,20 @@ _SWEEP = {"system_sizes": [[3, 3]], "u_values": [0.5], "d_values": [0.5],
                                  {"time_points": 1},
                                  {"time_points_observables": 1},
                                  {"diagnostics": ["survival"],
-                                  "time_max": 10.0}],
+                                  "time_max": 10.0},
+                                 {"system_sizes": [[3, 3], [4, 4], [3, 3]]},
+                                 {"u_values": [0.5, 0.5]},
+                                 # equal to 12 significant digits
+                                 {"d_values": [0.5, 0.1, 0.5000000000001]}],
                          ids=["string_flag", "string_size",
                               "fractional_integer", "infinite_energy",
                               "negative_seed", "zero_vector_limit", "hopping",
                               "goe_reference", "value_limit",
                               "time_max_below_min", "json_array",
                               "one_time_point", "one_observable_time_point",
-                              "hole_window_after_time_max"])
+                              "hole_window_after_time_max",
+                              "repeated_size", "repeated_u",
+                              "repeated_d_to_12_digits"])
 def test_bad_sweep_config_exits_one_before_writing(tmp_path, capsys, bad):
     cfg = _write(tmp_path / "c.json",
                  {**_SWEEP, **bad} if isinstance(bad, dict) else bad)

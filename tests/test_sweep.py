@@ -1,5 +1,6 @@
 import csv
 import errno
+import gc
 import json
 import os
 import warnings
@@ -589,6 +590,33 @@ def test_each_point_releases_freed_heap_failed_points_included(tmp_path,
     records = run_cut(config, tmp_path / "out")
     assert [r["status"] for r in records] == ["error", "ok", "ok"]
     assert released == [0, 0, 0]
+
+
+def test_point_leaves_no_array_for_the_cyclic_gc_to_free():
+    # the small all-diagnostics cut point of the benchmark, at 4x4
+    config = _config(system_sizes=[[4, 4]], d_values=[0.4],
+                     diagnostics=list(ALLOWED_DIAGNOSTICS),
+                     survival_sample_count=4, entropy_sample_count=3,
+                     hole_window=[20.0, 1000.0])
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_point(config, 4, 4, 0.5, 0.4).record["status"] == "ok"
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    # cycles may remain (closures of the stdlib), but none may hold an
+    # array, which would stay allocated until a full collection
+    held = [(type(obj).__name__, ref.shape) for obj in garbage
+            for ref in gc.get_referents(obj) if isinstance(ref, np.ndarray)]
+    del garbage
+    assert held == []
 
 
 def test_sweep_without_malloc_trim_gives_the_same_results(tmp_path,
