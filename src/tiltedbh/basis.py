@@ -13,16 +13,21 @@ import math
 
 import numpy as np
 
-__all__ = ["dimension", "FockBasis"]
+__all__ = ["dimension", "FockBasis", "DimensionTooLargeError"]
 
 _INDEX_MAX = np.iinfo(np.int64).max
+
+
+class DimensionTooLargeError(ValueError, OverflowError):
+    """A size beyond what this code can index or solve densely."""
 
 
 def dimension(n_bosons: int, n_sites: int) -> int:
     """Hilbert-space dimension C(M+N-1, N) for N bosons on M sites.
 
-    Evaluated in exact integer arithmetic.  Raises OverflowError if the
-    count does not fit the 64-bit basis index type (it never wraps).
+    Evaluated in exact integer arithmetic.  Raises DimensionTooLargeError,
+    an OverflowError, if the count does not fit the 64-bit basis index type
+    (it never wraps).
     """
     if n_bosons < 1 or n_sites < 1:
         raise ValueError(
@@ -30,7 +35,7 @@ def dimension(n_bosons: int, n_sites: int) -> int:
         )
     dim = math.comb(n_sites + n_bosons - 1, n_bosons)
     if dim > _INDEX_MAX:
-        raise OverflowError(
+        raise DimensionTooLargeError(
             f"basis dimension {dim} for (N={n_bosons}, M={n_sites}) exceeds "
             f"the 64-bit index range"
         )

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import dynamics, hamiltonian, initial_states, spectrum
-from .basis import FockBasis, dimension
+from .basis import DimensionTooLargeError, FockBasis, dimension
 from .diagnostics import write_eigenstate_csv
 from .config import (
     ConfigError,
@@ -37,8 +37,8 @@ from .config import (
     output_metadata,
     point_config,
 )
-from .sweep import (exit_code_for, record_failures, run_chaos_map, run_cut,
-                    run_point, trace_summary)
+from .sweep import (exit_code_for, record_failures, run_cut, run_point,
+                    trace_summary)
 from .tables import write_json, write_table
 
 _STATE_TABLE_LIMIT = 100_000
@@ -182,14 +182,13 @@ def _cmd_point(args) -> int:
 # -- sweep commands ----------------------------------------------------------
 
 
-def _cmd_sweep(args, runner) -> int:
+def _cmd_sweep(args) -> int:
     config = SweepConfig.from_dict({**load_config(args.config),
                                     **_overrides(args)})
     if args.command == "chaos-map" and set(config.diagnostics) != {"gap_ratio"}:
         raise ConfigError("diagnostics: a chaos map computes only "
                           "gap_ratio; run the other diagnostics with cut")
-    config.echo(args.out)
-    return _report(runner(config, args.out, resume=args.resume))
+    return _report(run_cut(config, args.out, resume=args.resume))
 
 
 # -- entry ---------------------------------------------------------------
@@ -225,15 +224,13 @@ def main(argv=None) -> int:
         _check_out(args.out)
         if args.command == "basis":
             return _cmd_basis(args)
-        if args.command == "chaos-map":
-            return _cmd_sweep(args, run_chaos_map)
-        if args.command == "cut":
-            return _cmd_sweep(args, run_cut)
+        if args.command in ("chaos-map", "cut"):
+            return _cmd_sweep(args)
         return _cmd_point(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    except MemoryError as err:
+    except (MemoryError, DimensionTooLargeError) as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return 3
 

@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import dynamics
 from ._version import __version__
-from .tables import write_json
 
 __all__ = [
     "ConfigError",
@@ -211,8 +210,12 @@ class SweepConfig:
                 values["time_max_observables"] <= values["time_min"]:
             raise ConfigError("time_max_observables: must exceed time_min")
         if "survival" in values["diagnostics"]:  # the grid run_point uses
-            times = dynamics.log_time_grid(values["time_min"], values["time_max"],
-                                           values["time_points"]).points
+            try:
+                times = dynamics.log_time_grid(
+                    values["time_min"], values["time_max"],
+                    values["time_points"]).points
+            except ValueError as err:  # too many points, or equal times
+                raise ConfigError(f"time_points: {err}") from err
             lo, hi = values["hole_window"]
             if not ((times >= lo) & (times <= hi)).any():
                 raise ConfigError(f"hole_window: [{lo}, {hi}] holds no time "
@@ -223,13 +226,6 @@ class SweepConfig:
         """``output_metadata`` of this config; ``extra`` holds settings
         outside the schema that also enter the hash."""
         return output_metadata({**asdict(self), **(extra or {})}, self.seed)
-
-    def echo(self, out_dir) -> None:
-        """Write the normalized config, which ``from_dict`` maps to itself."""
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "config_normalized.json", asdict(self),
-                   self.metadata())
 
 
 def output_metadata(settings: dict, seed: int) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FockBasis
+from .basis import DimensionTooLargeError, FockBasis
 from .hamiltonian import HamiltonianMatrix, ModelParams
 from .tables import write_table
 
@@ -27,6 +27,7 @@ __all__ = [
     "ConvergenceError",
     "DegenerateSpectrumError",
     "DegenerateSpectrumWarning",
+    "check_dense_limit",
     "diagonalize",
     "mean_gap_ratio",
     "normalized_energies",
@@ -51,10 +52,6 @@ DEGENERACY_TOL = 1e-12
 
 
 class MissingEigenvectorsError(ValueError):
-    pass
-
-
-class DimensionTooLargeError(ValueError):
     pass
 
 
@@ -113,6 +110,16 @@ def _upper_triangle_in_fresh_pages(h: HamiltonianMatrix) -> np.ndarray:
     return a
 
 
+def check_dense_limit(dim: int, compute_vectors: bool) -> None:
+    """Raise DimensionTooLargeError if a dense solve of dimension ``dim``,
+    with or without eigenvectors, exceeds its limit; needs no basis."""
+    limit = DENSE_EIGENVECTOR_LIMIT if compute_vectors else DENSE_EIGENVALUE_LIMIT
+    if dim > limit:
+        raise DimensionTooLargeError(
+            f"dimension {dim} exceeds the dense limit {limit} "
+            f"({'with' if compute_vectors else 'without'} eigenvectors)")
+
+
 def diagonalize(h: HamiltonianMatrix,
                 compute_vectors: bool = True) -> SpectralData:
     """Dense symmetric eigensolve of the full Hamiltonian, up to
@@ -126,13 +133,7 @@ def diagonalize(h: HamiltonianMatrix,
     resident; with vectors, the returned eigenvectors fill the whole
     buffer, in Fortran order.
     """
-    limit = DENSE_EIGENVECTOR_LIMIT if compute_vectors \
-        else DENSE_EIGENVALUE_LIMIT
-    if h.dim > limit:
-        raise DimensionTooLargeError(
-            f"dimension {h.dim} exceeds the dense limit {limit} "
-            f"({'with' if compute_vectors else 'without'} eigenvectors)"
-        )
+    check_dense_limit(h.dim, compute_vectors)
     # imported here, so that processes that read their eigendata from the
     # cache (warm quenches, the parent of a pooled sweep) never load scipy
     import scipy.linalg

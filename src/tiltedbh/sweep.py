@@ -31,7 +31,7 @@ import numpy as np
 
 from . import dynamics, hamiltonian, initial_states, spectrum
 from ._version import __version__
-from .basis import FockBasis, dimension
+from .basis import DimensionTooLargeError, FockBasis, dimension
 from .config import OBSERVABLES, SweepConfig
 from .diagnostics import (
     EigenstateDiagnostics,
@@ -42,7 +42,6 @@ from .diagnostics import (
     write_eigenstate_csv,
 )
 from .hamiltonian import ModelParams
-from .spectrum import DimensionTooLargeError
 from .tables import atomic_open, write_json, write_table
 
 __all__ = [
@@ -221,17 +220,20 @@ def run_point(config: SweepConfig, n: int, m: int, u: float,
     ``error`` and keeps the fields computed before it.
     """
     diags = set(config.diagnostics)
+    with_vectors = bool(diags - {"gap_ratio"})
     record = _point_record(n, m, u, d)
     point = PointData(record)
     with record_failures(record):
         record["dim"] = dimension(n, m)
+        # refused before the basis, whose enumeration is O(dim)
+        spectrum.check_dense_limit(record["dim"], with_vectors)
         basis = FockBasis(n, m)
         # every ensemble before the solve: an empty one fails the point first
         point.ensembles = {name: _ensemble(basis, config, name)
                            for name, diag in OBSERVABLES.items()
                            if diag in diags}
         spec = point.spectral = cached_diagonalize(
-            basis, ModelParams(u=u, d=d), bool(diags - {"gap_ratio"}),
+            basis, ModelParams(u=u, d=d), with_vectors,
             cache_dir=config.cache_dir)
         d_goe = goe_participation_reference(basis.dim)
 
@@ -431,13 +433,19 @@ def _worker_pool(workers: int, calls: list):
         yield futures
 
 
-def _run_points(config: SweepConfig, out_dir, resume: bool) -> list:
-    """Run the config's diagnostics at every (N, M, U, D) of its grid and
-    write ``results.csv``; return the records."""
+def run_cut(config: SweepConfig, out_dir, resume: bool = False) -> list:
+    """Run the config's diagnostics at every (N, M, U, D) of its grid, the
+    cartesian product of ``system_sizes``, ``u_values`` and ``d_values``: a
+    cut fixes one parameter list to length 1, and a chaos map, where the
+    command line accepts only ``gap_ratio``, needs no eigenvectors.  Write
+    ``config_normalized.json``, which ``SweepConfig.from_dict`` maps to
+    itself, the journal, the per-point files and ``results.csv``; return
+    the records."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metadata = config.metadata()
     chash = metadata["config_hash"]
+    write_json(out / "config_normalized.json", asdict(config), metadata)
     _trim_journal(out / "records.jsonl")
     done = _load_journal(out, chash) if resume else {}
     pending = [(n, m, u, d)
@@ -480,19 +488,8 @@ def _run_points(config: SweepConfig, out_dir, resume: bool) -> list:
     return records
 
 
-def run_chaos_map(config: SweepConfig, out_dir, resume: bool = False) -> list:
-    """The config's diagnostics over the full (U, D) grid; the command line
-    accepts only ``gap_ratio`` there, which needs no eigenvectors."""
-    return _run_points(config, out_dir, resume)
-
-
-def run_cut(config: SweepConfig, out_dir, resume: bool = False) -> list:
-    """All requested diagnostics along a one-parameter cut, per system size.
-
-    The cut runs over the cartesian product of ``u_values`` and
-    ``d_values``; a cut in the usual sense fixes one list to length 1.
-    """
-    return _run_points(config, out_dir, resume)
+# a chaos map is a sweep whose diagnostics are ``gap_ratio`` alone
+run_chaos_map = run_cut
 
 
 def exit_code_for(records: list) -> int:

@@ -179,6 +179,55 @@ def test_value_only_dense_limit_exit_three(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_basis_beyond_the_index_range_is_a_resource_limit(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", {"n_bosons": 40, "n_sites": 40})
+    out = tmp_path / "o"
+    assert main(["basis", "--config", cfg, "--out", str(out)]) == 3
+    assert "resource limit: basis dimension" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_point_beyond_the_index_range_is_skipped(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json",
+                 {"n_bosons": 40, "n_sites": 40, "u": 0.5, "d": 0.5})
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
+    assert ": skipped_dimension (basis dimension" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("times", [
+    {"time_points": 2 ** 62},
+    {"time_min": 0.1, "time_max": 0.10000000001, "time_points": 10 ** 6},
+], ids=["too_many_points", "equal_times"])
+def test_unbuildable_survival_grid_is_a_config_error(tmp_path, capsys, times):
+    cfg = _write(tmp_path / "c.json", {
+        "system_sizes": [[3, 3]], "u_values": [0.5], "d_values": [0.5],
+        "diagnostics": ["survival"], "hole_window": [0.1, 1.0], **times,
+    })
+    out = tmp_path / "o"
+    assert main(["cut", "--config", cfg, "--out", str(out)]) == 1
+    assert "config error: time_points: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_memory_error_is_a_resource_limit(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    # the grid of 10**12 times is never allocated
+    monkeypatch.setattr("tiltedbh.dynamics.log_time_grid", no_memory)
+    cfg = _write(tmp_path / "c.json", {
+        "system_sizes": [[3, 3]], "u_values": [0.5], "d_values": [0.5],
+        "diagnostics": ["survival"], "time_points": 10 ** 12,
+    })
+    out = tmp_path / "o"
+    assert main(["cut", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "resource limit: Unable to allocate 7.28 TiB\n"
+    assert not out.exists()
+
+
 def test_partial_failure_exit_two(tmp_path, monkeypatch):
     import tiltedbh.sweep as sweep_mod
 

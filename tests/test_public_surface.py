@@ -9,6 +9,7 @@ import inspect
 import json
 import pkgutil
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,17 @@ def test_readme_dotted_library_names_resolve():
         if obj is None:
             missing.append(name)
     assert not missing, f"README names missing attributes: {missing}"
+
+
+def test_package_version_comes_from_the_module():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    with warnings.catch_warnings():  # [tool.setuptools] is still "beta"
+        warnings.simplefilter("ignore")
+        project = read_configuration(
+            TRACING.parent.parent / "pyproject.toml")["project"]
+    assert project.get("dynamic") == ["version"]
+    assert project["version"] == tiltedbh.__version__
 
 
 def _tracer_targets():

@@ -66,7 +66,7 @@ def test_echoed_config_revalidates_to_itself(tmp_path):
     cfg_file = tmp_path / "config.json"
     cfg_file.write_text(json.dumps(BASE))
     config = SweepConfig.from_dict(load_config(cfg_file))
-    config.echo(tmp_path / "out")
+    run_cut(config, tmp_path / "out")
     echoed = tmp_path / "out" / "config_normalized.json"
     assert echoed.exists()
     again = SweepConfig.from_dict({
@@ -236,6 +236,29 @@ def test_window_too_narrow_fails_the_point_before_its_solve(tmp_path,
     assert record["status"] == "error"
     assert record["error"].startswith("InsufficientCandidatesError")
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("diagnostic, limit, kind", [
+    ("gap_ratio", "DENSE_EIGENVALUE_LIMIT", "without"),
+    ("survival", "DENSE_EIGENVECTOR_LIMIT", "with"),
+])
+def test_over_limit_point_is_refused_before_its_basis(monkeypatch, diagnostic,
+                                                      limit, kind):
+    calls = []
+    monkeypatch.setattr(f"tiltedbh.spectrum.{limit}", 5)
+    monkeypatch.setattr("tiltedbh.sweep.hamiltonian.build",
+                        lambda *args, **kwargs: calls.append("build"))
+    monkeypatch.setattr(FockBasis, "states",
+                        property(lambda self: calls.append("states")))
+    record = run_point(_config(diagnostics=[diagnostic]), 3, 3, 0.5, 0.5).record
+    assert calls == []
+    assert record["status"] == "skipped_dimension"
+    assert record["error"] == \
+        f"dimension 10 exceeds the dense limit 5 ({kind} eigenvectors)"
+
+
+def test_chaos_map_is_the_cut_sweep():
+    assert run_chaos_map is run_cut
 
 
 def test_parallel_workers_reproduce_serial_results(tmp_path):
