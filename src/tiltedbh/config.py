@@ -209,13 +209,21 @@ class SweepConfig:
         if values["time_max_observables"] is not None and \
                 values["time_max_observables"] <= values["time_min"]:
             raise ConfigError("time_max_observables: must exceed time_min")
-        if "survival" in values["diagnostics"]:  # the grid run_point uses
+
+        def grid(points_key: str, t_max: float):
+            """The times of a grid run_point builds."""
             try:
-                times = dynamics.log_time_grid(
-                    values["time_min"], values["time_max"],
-                    values["time_points"]).points
+                return dynamics.log_time_grid(values["time_min"], t_max,
+                                              values[points_key]).points
             except ValueError as err:  # too many points, or equal times
-                raise ConfigError(f"time_points: {err}") from err
+                raise ConfigError(f"{points_key}: {err}") from err
+
+        diagnostics = set(values["diagnostics"])
+        if diagnostics & {"entropy_dynamics", "imbalance_dynamics"}:
+            grid("time_points_observables",
+                 values["time_max_observables"] or values["time_max"])
+        if "survival" in diagnostics:
+            times = grid("time_points", values["time_max"])
             lo, hi = values["hole_window"]
             if not ((times >= lo) & (times <= hi)).any():
                 raise ConfigError(f"hole_window: [{lo}, {hi}] holds no time "

@@ -7,6 +7,8 @@ which is independent of the density of states, so no unfolding is needed.
 
 from __future__ import annotations
 
+import ctypes
+import errno
 import mmap
 import warnings
 from dataclasses import dataclass
@@ -43,8 +45,9 @@ R_POISSON = 0.386  # 2 ln 2 - 1 = 0.3863...
 DENSE_EIGENVALUE_LIMIT = 100_000
 DENSE_EIGENVECTOR_LIMIT = 20_000
 
-# the LAPACK driver of scipy.linalg.eigh, by whether vectors are computed:
-# divide and conquer with vectors, relatively robust representations without
+# the LAPACK driver, named as scipy.linalg.eigh names it, by whether vectors
+# are computed: divide and conquer with vectors, relatively robust
+# representations without; part of every eigendata cache key
 EIGH_DRIVER = {True: "evd", False: "evr"}
 
 # spacings below this fraction of the retained span count as degenerate
@@ -89,6 +92,120 @@ class SpectralData:
         return self.eigenvectors is not None
 
 
+# -- LAPACK through numpy's OpenBLAS -------------------------------------------
+# numpy >= 2.0's wheels link its linear algebra to an ILP64 OpenBLAS whose
+# LAPACK symbols carry this prefix and suffix; ``dlsym`` on the extension's
+# handle searches the libraries it depends on, so no path is needed.
+
+_LAPACK_SYMBOL = "scipy_dsy{}_64_"
+_INT = ctypes.POINTER(ctypes.c_int64)
+_REAL = ctypes.POINTER(ctypes.c_double)
+_REALS = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
+_INTS = np.ctypeslib.ndpointer(np.int64, flags="F_CONTIGUOUS,WRITEABLE")
+# each driver's arguments in LAPACK's order, with their types
+_LAPACK_ARGUMENTS = {
+    "evr": {"jobz": ctypes.c_char_p, "range": ctypes.c_char_p,
+            "uplo": ctypes.c_char_p, "n": _INT, "a": _REALS, "lda": _INT,
+            "vl": _REAL, "vu": _REAL, "il": _INT, "iu": _INT,
+            "abstol": _REAL, "m": _INT, "w": _REALS, "z": _REALS,
+            "ldz": _INT, "isuppz": _INTS, "work": _REALS, "lwork": _INT,
+            "iwork": _INTS, "liwork": _INT, "info": _INT},
+    "evd": {"jobz": ctypes.c_char_p, "uplo": ctypes.c_char_p, "n": _INT,
+            "a": _REALS, "lda": _INT, "w": _REALS, "work": _REALS,
+            "lwork": _INT, "iwork": _INTS, "liwork": _INT, "info": _INT},
+}
+
+
+def _numpy_lapack() -> dict | None:
+    """``dsyevr`` and ``dsyevd`` of the OpenBLAS numpy loaded, by their
+    ``EIGH_DRIVER`` names, or None where numpy uses another LAPACK (MKL,
+    Accelerate, a system build)."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        found = {driver: getattr(lib, _LAPACK_SYMBOL.format(driver))
+                 for driver in _LAPACK_ARGUMENTS}
+    except (OSError, AttributeError):
+        return None
+    for driver, fn in found.items():
+        types = list(_LAPACK_ARGUMENTS[driver].values())
+        # gfortran passes each character argument's length after the last
+        fn.argtypes = types + [ctypes.c_size_t] * types.count(ctypes.c_char_p)
+        fn.restype = None
+    return found
+
+
+_LAPACK = _numpy_lapack()
+
+
+def _call_lapack(driver: str, **args) -> dict:
+    """Call ``driver`` with ``args`` by their LAPACK names, every scalar by
+    reference; returns the integer scalars, outputs included, by name.
+
+    Raises ValueError for an argument LAPACK rejects and ConvergenceError
+    for a positive ``info``.
+    """
+    kinds = _LAPACK_ARGUMENTS[driver]
+    values, lengths = [], []
+    # every value, the arrays included, stays referenced until the call ends
+    for name, kind in kinds.items():
+        value = 0 if name == "info" else args[name]
+        if kind is ctypes.c_char_p:
+            value = value.encode()
+            lengths.append(ctypes.c_size_t(len(value)))
+        elif kind is _INT:
+            value = ctypes.c_int64(value)
+        elif kind is _REAL:
+            value = ctypes.c_double(value)
+        values.append(value)
+    _LAPACK[driver](*values, *lengths)
+    out = {name: value.value for name, value in zip(kinds, values)
+           if isinstance(value, ctypes.c_int64)}
+    if out["info"] < 0:
+        raise ValueError(f"dsy{driver} rejected its argument {-out['info']} "
+                         f"({list(kinds)[-out['info'] - 1]})")
+    if out["info"] > 0:
+        raise ConvergenceError(
+            f"eigensolver failed to converge: dsy{driver} info={out['info']}")
+    return out
+
+
+def _solve_in_place(a: np.ndarray, compute_vectors: bool):
+    """Eigenvalues of the symmetric ``a``, read from its lower triangle, and
+    with ``compute_vectors`` its eigenvectors written over ``a``: the driver
+    and arguments ``scipy.linalg.eigh`` passes, with the same workspace
+    query, so the results are the same bits."""
+    n = a.shape[0]
+    if not (a.dtype == np.float64 and a.shape == (n, n)
+            and a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError("LAPACK needs a writeable, Fortran-ordered float64 "
+                         f"square matrix, got {a.dtype} {a.shape}")
+    driver = EIGH_DRIVER[compute_vectors]
+    w = np.empty(n)
+    args = {"jobz": "V" if compute_vectors else "N", "uplo": "L", "n": n,
+            "a": a, "lda": n, "w": w}
+    if driver == "evr":
+        # z and isuppz are not referenced without vectors
+        args.update({"range": "A", "vl": 0.0, "vu": 1.0, "il": 1, "iu": n,
+                     "abstol": 0.0, "m": 0, "z": np.empty(1), "ldz": 1,
+                     "isuppz": np.empty(2, dtype=np.int64)})
+    query_work, query_iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    _call_lapack(driver, **args, work=query_work, lwork=-1,
+                 iwork=query_iwork, liwork=-1)
+    lwork, liwork = int(query_work[0]), int(query_iwork[0])
+    try:
+        work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
+    except MemoryError as err:  # a resource limit, like the matrix's own
+        raise DimensionTooLargeError(
+            f"cannot allocate the {8 * (lwork + liwork)}-byte LAPACK "
+            f"workspace of dimension {n}") from err
+    out = _call_lapack(driver, **args, work=work, lwork=lwork, iwork=iwork,
+                       liwork=liwork)
+    if driver == "evr" and out["m"] != n:
+        raise ConvergenceError(
+            f"eigensolver failed: dsyevr found {out['m']} of {n} eigenvalues")
+    return w
+
+
 def _upper_triangle_in_fresh_pages(h: HamiltonianMatrix) -> np.ndarray:
     """H's diagonal and stored upper triangle in an n x n C-order array,
     the strict lower triangle left zero, in a fresh anonymous mapping.
@@ -99,12 +216,22 @@ def _upper_triangle_in_fresh_pages(h: HamiltonianMatrix) -> np.ndarray:
     serve the matrix from heap it already holds and clear all of it.  No
     huge pages are asked for: every 2 MiB of the matrix holds entries of
     the stored triangle, so they would make all of it resident.
+
+    A mapping the system refuses for want of memory raises
+    DimensionTooLargeError: the point is beyond this machine's resources.
     """
     n = h.dim
     # MAP_PRIVATE exists on POSIX only; elsewhere the plain anonymous mapping
     flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-    a = np.frombuffer(mmap.mmap(-1, 8 * n * n, **flags),
-                      dtype=np.float64).reshape(n, n)
+    try:
+        pages = mmap.mmap(-1, 8 * n * n, **flags)
+    except OSError as err:
+        if err.errno != errno.ENOMEM:
+            raise
+        raise DimensionTooLargeError(
+            f"cannot map the {8 * n * n}-byte dense matrix of dimension {n}: "
+            f"{err.strerror}") from err
+    a = np.frombuffer(pages, dtype=np.float64).reshape(n, n)
     a[np.arange(n), np.arange(n)] = h.diagonal
     a[h.rows, h.cols] = h.values
     return a
@@ -132,12 +259,18 @@ def diagonalize(h: HamiltonianMatrix,
     vectors, pages lying wholly in the other triangle never become
     resident; with vectors, the returned eigenvectors fill the whole
     buffer, in Fortran order.
+
+    The solve calls the LAPACK of numpy's OpenBLAS, so no process loads
+    scipy for it; where numpy uses another LAPACK, ``scipy.linalg.eigh``
+    runs the same driver.
     """
     check_dense_limit(h.dim, compute_vectors)
-    # imported here, so that processes that read their eigendata from the
-    # cache (warm quenches, the parent of a pooled sweep) never load scipy
-    import scipy.linalg
     dense = _upper_triangle_in_fresh_pages(h).T
+    if _LAPACK is not None:
+        vals = _solve_in_place(dense, compute_vectors)
+        return SpectralData(h.basis, h.params, vals,
+                            dense if compute_vectors else None)
+    import scipy.linalg
     try:
         solved = scipy.linalg.eigh(
             dense, lower=True, overwrite_a=True, check_finite=False,

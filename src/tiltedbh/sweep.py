@@ -412,11 +412,12 @@ def _worker_pool(workers: int, calls: list):
 
     Each worker gets ``cpu_count // workers`` BLAS threads (at least one),
     so the pools of all workers together do not oversubscribe the cores.
-    Each BLAS reads its thread count from the environment when it is
-    loaded: numpy's when numpy is imported, scipy's at the first eigensolve,
-    and a spawned worker does both after it starts; ``submit``
-    starts the workers, so the variables are set only while submitting and
-    the parent's environment is restored afterwards.
+    OpenBLAS reads its thread count from the environment when it is
+    loaded, and the eigensolve runs in numpy's, loaded when numpy is
+    imported (scipy's, at the first solve, where numpy has another
+    LAPACK); a spawned worker loads it after it starts.  ``submit`` starts
+    the workers, so the variables are set only while submitting and the
+    parent's environment is restored afterwards.
     """
     threads = str(max(1, (os.cpu_count() or 1) // workers))
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}

@@ -38,6 +38,27 @@ def run_in_fresh_python(code: str) -> str:
     return run.stdout
 
 
+def fake_lapack(monkeypatch, driver, lwork=1, **outputs):
+    """Replace the LAPACK ``driver`` ("evr" or "evd") that
+    ``spectrum.diagonalize`` calls by one that answers the workspace query
+    with ``lwork`` and, when asked to solve, only sets its integer
+    ``outputs`` (such as ``info``) and leaves the arrays as they are."""
+    from tiltedbh import spectrum
+
+    names = list(spectrum._LAPACK_ARGUMENTS[driver])
+
+    def fake(*values):
+        args = dict(zip(names, values))
+        if args["lwork"].value == -1:
+            args["work"][0], args["iwork"][0] = lwork, 1
+            return
+        for name, value in outputs.items():
+            args[name].value = value
+
+    monkeypatch.setattr(spectrum, "_LAPACK",
+                        {**(spectrum._LAPACK or {}), driver: fake})
+
+
 def compositions(n, m):
     """Recursive generator of all occupation tuples of n bosons on m sites."""
     if m == 1:

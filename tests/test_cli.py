@@ -1,3 +1,4 @@
+import errno
 import filecmp
 import json
 import re
@@ -20,7 +21,7 @@ from tiltedbh.config import (
 )
 from tiltedbh.sweep import CACHE_DIR_ENV
 
-from conftest import fresh_python_env
+from conftest import fake_lapack, fresh_python_env
 
 
 def _write(path, payload):
@@ -196,18 +197,27 @@ def test_point_beyond_the_index_range_is_skipped(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("times", [
-    {"time_points": 2 ** 62},
-    {"time_min": 0.1, "time_max": 0.10000000001, "time_points": 10 ** 6},
-], ids=["too_many_points", "equal_times"])
-def test_unbuildable_survival_grid_is_a_config_error(tmp_path, capsys, times):
+@pytest.mark.parametrize("times, key", [
+    ({"time_points": 2 ** 62}, "time_points"),
+    ({"time_min": 0.1, "time_max": 0.10000000001, "time_points": 10 ** 6},
+     "time_points"),
+    ({"diagnostics": ["entropy_dynamics"], "time_points_observables": 2 ** 62},
+     "time_points_observables"),
+    ({"diagnostics": ["imbalance_dynamics"], "time_min": 0.1,
+      "time_max_observables": 0.10000000001,
+      "time_points_observables": 10 ** 6}, "time_points_observables"),
+], ids=["too_many_points", "equal_times", "too_many_observable_points",
+        "equal_observable_times"])
+def test_unbuildable_survival_grid_is_a_config_error(tmp_path, capsys, times,
+                                                      key):
+    # the observable grid of the entropy and imbalance traces too
     cfg = _write(tmp_path / "c.json", {
         "system_sizes": [[3, 3]], "u_values": [0.5], "d_values": [0.5],
         "diagnostics": ["survival"], "hole_window": [0.1, 1.0], **times,
     })
     out = tmp_path / "o"
     assert main(["cut", "--config", cfg, "--out", str(out)]) == 1
-    assert "config error: time_points: " in capsys.readouterr().err
+    assert f"config error: {key}: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -225,6 +235,27 @@ def test_memory_error_is_a_resource_limit(tmp_path, capsys, monkeypatch):
     assert main(["cut", "--config", cfg, "--out", str(out)]) == 3
     assert capsys.readouterr().err == \
         "resource limit: Unable to allocate 7.28 TiB\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("starved", ["matrix", "workspace"])
+def test_solve_the_system_cannot_allocate_is_a_resource_limit(
+        tmp_path, capsys, monkeypatch, starved):
+    def no_memory(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    if starved == "matrix":
+        monkeypatch.setattr("mmap.mmap", no_memory)
+        message = "cannot map the 800-byte dense matrix of dimension 10"
+    else:  # a workspace of 2^61 bytes, which no allocator grants
+        fake_lapack(monkeypatch, "evr", lwork=2 ** 58)
+        message = (f"cannot allocate the {2 ** 61 + 8}-byte LAPACK "
+                   "workspace of dimension 10")
+    cfg = _write(tmp_path / "c.json",
+                 {"n_bosons": 3, "n_sites": 3, "u": 0.5, "d": 0.5})
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
+    assert f": skipped_dimension ({message}" in capsys.readouterr().err
     assert not out.exists()
 
 

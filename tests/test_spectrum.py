@@ -18,7 +18,9 @@ from tiltedbh import (
     mean_gap_ratio,
     normalized_energies,
 )
+from tiltedbh import spectrum
 from tiltedbh.spectrum import (
+    ConvergenceError,
     DegenerateSpectrumError,
     DegenerateSpectrumWarning,
     DimensionTooLargeError,
@@ -27,7 +29,7 @@ from tiltedbh.spectrum import (
 
 from conftest import R_GOE_LARGE, R_GOE_SURMISE, goe_spectrum, poisson_spectrum
 
-from conftest import brute_force_dense, run_in_fresh_python
+from conftest import brute_force_dense, fake_lapack, run_in_fresh_python
 
 
 def test_two_level_hopping_matrix():
@@ -70,6 +72,78 @@ def test_eigensolve_is_bit_identical_to_plain_eigh():
                                                     eigvals_only=True))
 
 
+# Run in a fresh interpreter, whose OpenBLAS reads its thread count when it
+# is loaded: the solve against scipy.linalg.eigh with the same driver.
+_SAME_BITS_AS_SCIPY = """
+import sys
+import numpy as np
+from tiltedbh import FockBasis, ModelParams, build, diagonalize, spectrum
+
+solves = [(build(FockBasis(7, 7), ModelParams(u=0.5, d=0.8)), False),
+          (build(FockBasis(6, 6), ModelParams(u=1.0, d=0.3)), True)]
+results = [diagonalize(h, vectors) for h, vectors in solves]
+print("resolved" if spectrum._LAPACK else "fallback",
+      "scipy" in sys.modules)
+import scipy.linalg
+for (h, vectors), spec in zip(solves, results):
+    dense = h.to_dense()
+    if vectors:
+        vals, vecs = scipy.linalg.eigh(dense, driver="evd")
+        assert np.array_equal(spec.eigenvectors, vecs)
+    else:
+        vals = scipy.linalg.eigh(dense, eigvals_only=True, driver="evr")
+    assert np.array_equal(spec.eigenvalues, vals)
+print("same bits")
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_solve_has_the_bits_of_scipy_eigh(monkeypatch, threads):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    solved, compared = run_in_fresh_python(_SAME_BITS_AS_SCIPY).splitlines()
+    # where numpy's LAPACK resolves, solving loads no scipy module
+    assert solved in ("resolved False", "fallback True")
+    assert compared == "same bits"
+
+
+def test_unresolved_lapack_solves_through_scipy(monkeypatch):
+    h = build(FockBasis(5, 5), ModelParams(u=0.5, d=0.8))
+    expected = [diagonalize(h, vectors) for vectors in (False, True)]
+    monkeypatch.setattr(spectrum, "_LAPACK_SYMBOL", "no_such_dsy{}_64_")
+    monkeypatch.setattr(spectrum, "_LAPACK", spectrum._numpy_lapack())
+    assert spectrum._LAPACK is None
+    values, both = (diagonalize(h, vectors) for vectors in (False, True))
+    assert np.array_equal(values.eigenvalues, expected[0].eigenvalues)
+    assert values.eigenvectors is None
+    assert np.array_equal(both.eigenvalues, expected[1].eigenvalues)
+    assert np.array_equal(both.eigenvectors, expected[1].eigenvectors)
+
+
+@pytest.mark.parametrize("with_vectors, outputs, error, message", [
+    (False, {"info": 1}, ConvergenceError, "dsyevr info=1"),
+    (True, {"info": 1}, ConvergenceError, "dsyevd info=1"),
+    (True, {"info": -5}, ValueError, r"argument 5 \(lda\)"),
+    (False, {"m": 9}, ConvergenceError, "found 9 of 10"),
+], ids=["evr_info", "evd_info", "illegal_argument", "missing_eigenvalue"])
+def test_lapack_status_is_an_error(monkeypatch, with_vectors, outputs, error,
+                                   message):
+    h = build(FockBasis(3, 3), ModelParams(u=0.5, d=0.5))
+    fake_lapack(monkeypatch, spectrum.EIGH_DRIVER[with_vectors], **outputs)
+    with pytest.raises(error, match=message):
+        diagonalize(h, with_vectors)
+
+
+def test_lapack_needs_a_writeable_fortran_matrix():
+    for a in (np.zeros((3, 3)), np.zeros((3, 3), order="F")[:, :2],
+              np.zeros((3, 3), dtype=np.float32, order="F")):
+        with pytest.raises(ValueError, match="Fortran-ordered float64"):
+            spectrum._solve_in_place(a, compute_vectors=False)
+    a = np.zeros((3, 3), order="F")
+    a.flags.writeable = False
+    with pytest.raises(ValueError, match="writeable"):
+        spectrum._solve_in_place(a, compute_vectors=True)
+
+
 @pytest.mark.parametrize("with_vectors, bound", [(False, 0.5), (True, 2.5)])
 def test_eigensolve_works_in_the_hamiltonian_buffer(with_vectors, bound):
     # the dense matrix lives in its own mapping, which tracemalloc does not
@@ -87,7 +161,8 @@ def test_eigensolve_works_in_the_hamiltonian_buffer(with_vectors, bound):
 
 _RESIDENT_GROWTH = """
 import re
-import scipy.linalg  # the first solve would import it inside the measurement
+# where numpy's LAPACK does not resolve, the first solve imports it
+import scipy.linalg
 from tiltedbh import FockBasis, ModelParams, build, diagonalize
 
 def status_kib(key):
