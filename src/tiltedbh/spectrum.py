@@ -7,9 +7,12 @@ which is independent of the density of states, so no unfolding is needed.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import errno
+import math
 import mmap
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -46,8 +49,9 @@ DENSE_EIGENVALUE_LIMIT = 100_000
 DENSE_EIGENVECTOR_LIMIT = 20_000
 
 # the LAPACK driver, named as scipy.linalg.eigh names it, by whether vectors
-# are computed: divide and conquer with vectors, relatively robust
-# representations without; part of every eigendata cache key
+# are computed: divide and conquer (dsyevd, run as its three steps) with
+# vectors, relatively robust representations without; part of every
+# eigendata cache key
 EIGH_DRIVER = {True: "evd", False: "evr"}
 
 # spacings below this fraction of the retained span count as degenerate
@@ -97,37 +101,46 @@ class SpectralData:
 # LAPACK symbols carry this prefix and suffix; ``dlsym`` on the extension's
 # handle searches the libraries it depends on, so no path is needed.
 
-_LAPACK_SYMBOL = "scipy_dsy{}_64_"
+_LAPACK_SYMBOL = "scipy_d{}_64_"
 _INT = ctypes.POINTER(ctypes.c_int64)
 _REAL = ctypes.POINTER(ctypes.c_double)
 _REALS = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
 _INTS = np.ctypeslib.ndpointer(np.int64, flags="F_CONTIGUOUS,WRITEABLE")
-# each driver's arguments in LAPACK's order, with their types
+# each routine's arguments in LAPACK's order, with their types: ``dsyevr``
+# solves for eigenvalues only, and the other three are the steps of
+# ``dsyevd``, which solves with eigenvectors
 _LAPACK_ARGUMENTS = {
-    "evr": {"jobz": ctypes.c_char_p, "range": ctypes.c_char_p,
-            "uplo": ctypes.c_char_p, "n": _INT, "a": _REALS, "lda": _INT,
-            "vl": _REAL, "vu": _REAL, "il": _INT, "iu": _INT,
-            "abstol": _REAL, "m": _INT, "w": _REALS, "z": _REALS,
-            "ldz": _INT, "isuppz": _INTS, "work": _REALS, "lwork": _INT,
-            "iwork": _INTS, "liwork": _INT, "info": _INT},
-    "evd": {"jobz": ctypes.c_char_p, "uplo": ctypes.c_char_p, "n": _INT,
-            "a": _REALS, "lda": _INT, "w": _REALS, "work": _REALS,
-            "lwork": _INT, "iwork": _INTS, "liwork": _INT, "info": _INT},
+    "syevr": {"jobz": ctypes.c_char_p, "range": ctypes.c_char_p,
+              "uplo": ctypes.c_char_p, "n": _INT, "a": _REALS, "lda": _INT,
+              "vl": _REAL, "vu": _REAL, "il": _INT, "iu": _INT,
+              "abstol": _REAL, "m": _INT, "w": _REALS, "z": _REALS,
+              "ldz": _INT, "isuppz": _INTS, "work": _REALS, "lwork": _INT,
+              "iwork": _INTS, "liwork": _INT, "info": _INT},
+    "sytrd": {"uplo": ctypes.c_char_p, "n": _INT, "a": _REALS, "lda": _INT,
+              "d": _REALS, "e": _REALS, "tau": _REALS, "work": _REALS,
+              "lwork": _INT, "info": _INT},
+    "stedc": {"compz": ctypes.c_char_p, "n": _INT, "d": _REALS,
+              "e": _REALS, "z": _REALS, "ldz": _INT, "work": _REALS,
+              "lwork": _INT, "iwork": _INTS, "liwork": _INT, "info": _INT},
+    "ormtr": {"side": ctypes.c_char_p, "uplo": ctypes.c_char_p,
+              "trans": ctypes.c_char_p, "m": _INT, "n": _INT, "a": _REALS,
+              "lda": _INT, "tau": _REALS, "c": _REALS, "ldc": _INT,
+              "work": _REALS, "lwork": _INT, "info": _INT},
 }
 
 
 def _numpy_lapack() -> dict | None:
-    """``dsyevr`` and ``dsyevd`` of the OpenBLAS numpy loaded, by their
-    ``EIGH_DRIVER`` names, or None where numpy uses another LAPACK (MKL,
+    """The routines of ``_LAPACK_ARGUMENTS`` in the OpenBLAS numpy loaded,
+    by those names, or None where numpy uses another LAPACK (MKL,
     Accelerate, a system build)."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        found = {driver: getattr(lib, _LAPACK_SYMBOL.format(driver))
-                 for driver in _LAPACK_ARGUMENTS}
+        found = {routine: getattr(lib, _LAPACK_SYMBOL.format(routine))
+                 for routine in _LAPACK_ARGUMENTS}
     except (OSError, AttributeError):
         return None
-    for driver, fn in found.items():
-        types = list(_LAPACK_ARGUMENTS[driver].values())
+    for routine, fn in found.items():
+        types = list(_LAPACK_ARGUMENTS[routine].values())
         # gfortran passes each character argument's length after the last
         fn.argtypes = types + [ctypes.c_size_t] * types.count(ctypes.c_char_p)
         fn.restype = None
@@ -137,14 +150,14 @@ def _numpy_lapack() -> dict | None:
 _LAPACK = _numpy_lapack()
 
 
-def _call_lapack(driver: str, **args) -> dict:
-    """Call ``driver`` with ``args`` by their LAPACK names, every scalar by
+def _call_lapack(routine: str, **args) -> dict:
+    """Call ``routine`` with ``args`` by their LAPACK names, every scalar by
     reference; returns the integer scalars, outputs included, by name.
 
     Raises ValueError for an argument LAPACK rejects and ConvergenceError
     for a positive ``info``.
     """
-    kinds = _LAPACK_ARGUMENTS[driver]
+    kinds = _LAPACK_ARGUMENTS[routine]
     values, lengths = [], []
     # every value, the arrays included, stays referenced until the call ends
     for name, kind in kinds.items():
@@ -157,81 +170,185 @@ def _call_lapack(driver: str, **args) -> dict:
         elif kind is _REAL:
             value = ctypes.c_double(value)
         values.append(value)
-    _LAPACK[driver](*values, *lengths)
+    _LAPACK[routine](*values, *lengths)
     out = {name: value.value for name, value in zip(kinds, values)
            if isinstance(value, ctypes.c_int64)}
     if out["info"] < 0:
-        raise ValueError(f"dsy{driver} rejected its argument {-out['info']} "
+        raise ValueError(f"d{routine} rejected its argument {-out['info']} "
                          f"({list(kinds)[-out['info'] - 1]})")
     if out["info"] > 0:
         raise ConvergenceError(
-            f"eigensolver failed to converge: dsy{driver} info={out['info']}")
+            f"eigensolver failed to converge: d{routine} info={out['info']}")
     return out
 
 
-def _solve_in_place(a: np.ndarray, compute_vectors: bool):
-    """Eigenvalues of the symmetric ``a``, read from its lower triangle, and
-    with ``compute_vectors`` its eigenvectors written over ``a``: the driver
-    and arguments ``scipy.linalg.eigh`` passes, with the same workspace
-    query, so the results are the same bits."""
+def _workspace(n: int, lwork: int, liwork: int = 0):
+    """LAPACK's real and integer workspaces for dimension ``n``; one that
+    cannot be allocated raises DimensionTooLargeError, a resource limit
+    like the matrix's own."""
+    try:
+        return np.empty(lwork), np.empty(liwork, dtype=np.int64)
+    except MemoryError as err:
+        raise DimensionTooLargeError(
+            f"cannot allocate the {8 * (lwork + liwork)}-byte LAPACK "
+            f"workspace of dimension {n}") from err
+
+
+def _solve_in_place(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric ``a``, read from its lower triangle,
+    which it overwrites: ``dsyevr`` with the arguments and workspace query
+    of ``scipy.linalg.eigh(driver="evr")``, so they are the same bits."""
     n = a.shape[0]
     if not (a.dtype == np.float64 and a.shape == (n, n)
             and a.flags.f_contiguous and a.flags.writeable):
         raise ValueError("LAPACK needs a writeable, Fortran-ordered float64 "
                          f"square matrix, got {a.dtype} {a.shape}")
-    driver = EIGH_DRIVER[compute_vectors]
     w = np.empty(n)
-    args = {"jobz": "V" if compute_vectors else "N", "uplo": "L", "n": n,
-            "a": a, "lda": n, "w": w}
-    if driver == "evr":
-        # z and isuppz are not referenced without vectors
-        args.update({"range": "A", "vl": 0.0, "vu": 1.0, "il": 1, "iu": n,
-                     "abstol": 0.0, "m": 0, "z": np.empty(1), "ldz": 1,
-                     "isuppz": np.empty(2, dtype=np.int64)})
+    # z and isuppz are not referenced without vectors
+    args = {"jobz": "N", "range": "A", "uplo": "L", "n": n, "a": a, "lda": n,
+            "vl": 0.0, "vu": 1.0, "il": 1, "iu": n, "abstol": 0.0, "m": 0,
+            "w": w, "z": np.empty(1), "ldz": 1,
+            "isuppz": np.empty(2, dtype=np.int64)}
     query_work, query_iwork = np.empty(1), np.empty(1, dtype=np.int64)
-    _call_lapack(driver, **args, work=query_work, lwork=-1,
+    _call_lapack("syevr", **args, work=query_work, lwork=-1,
                  iwork=query_iwork, liwork=-1)
     lwork, liwork = int(query_work[0]), int(query_iwork[0])
-    try:
-        work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
-    except MemoryError as err:  # a resource limit, like the matrix's own
-        raise DimensionTooLargeError(
-            f"cannot allocate the {8 * (lwork + liwork)}-byte LAPACK "
-            f"workspace of dimension {n}") from err
-    out = _call_lapack(driver, **args, work=work, lwork=lwork, iwork=iwork,
+    work, iwork = _workspace(n, lwork, liwork)
+    out = _call_lapack("syevr", **args, work=work, lwork=lwork, iwork=iwork,
                        liwork=liwork)
-    if driver == "evr" and out["m"] != n:
+    if out["m"] != n:
         raise ConvergenceError(
             f"eigensolver failed: dsyevr found {out['m']} of {n} eigenvalues")
     return w
 
 
-def _upper_triangle_in_fresh_pages(h: HamiltonianMatrix) -> np.ndarray:
-    """H's diagonal and stored upper triangle in an n x n C-order array,
-    the strict lower triangle left zero, in a fresh anonymous mapping.
+# dsyevd scales a matrix whose largest |entry| lies outside [_RMIN, _RMAX]
+# into it: the square roots of LAPACK's safe minimum over its precision
+# (2^-970) and of its inverse, so 2^-485 and 2^485 exactly
+_RMIN = math.sqrt(sys.float_info.min / sys.float_info.epsilon)
+_RMAX = 1.0 / _RMIN
 
-    A page of such a mapping becomes resident when it is first touched, so
-    pages that lie wholly in the strict lower triangle take no memory until
-    something reads them.  ``np.zeros`` gives no such guarantee: glibc may
-    serve the matrix from heap it already holds and clear all of it.  No
-    huge pages are asked for: every 2 MiB of the matrix holds entries of
-    the stored triangle, so they would make all of it resident.
+
+def _dsyevd_scale(h: HamiltonianMatrix):
+    """The factor ``dsyevd`` multiplies H by before reducing it, or None
+    where it leaves H as it is: max|H| within [_RMIN, _RMAX] (or NaN), and
+    dimension 1, which it returns before scaling."""
+    anrm = np.abs(np.concatenate([h.diagonal, h.values])).max()
+    if h.dim > 1 and 0 < anrm < _RMIN:
+        return _RMIN / anrm
+    if h.dim > 1 and anrm > _RMAX:
+        return _RMAX / anrm
+    return None
+
+
+def _below_the_diagonal(n: int):
+    """(j, slice): column j of an n x n matrix below its diagonal, packed
+    after the columns before it."""
+    start = 0
+    for j in range(n - 1):
+        yield j, slice(start, start + n - 1 - j)
+        start += n - 1 - j
+
+
+def _eigh_in_steps(h: HamiltonianMatrix):
+    """Eigenvalues and eigenvectors of H: the three routines ``dsyevd``
+    runs, with the arguments it passes them, so they are its bits.
+
+    ``dsyevd`` keeps the matrix while it solves into a workspace of two
+    more, then copies the vectors over the matrix: 3·8n² in all.  Here
+    ``dsytrd`` reduces H in its fresh pages, and the Householder reflectors
+    it leaves below the diagonal go to a mapping of their own before the
+    matrix is unmapped; ``dstedc`` then writes the tridiagonal problem's
+    eigenvectors into the n x n mapping that is returned, and ``dormtr``
+    applies the reflectors to them from the workspace ``dstedc`` is done
+    with.  The solve holds at most 2.5·8n²: the reflectors, the vectors
+    and ``dstedc``'s workspace.
+    """
+    n = h.dim
+    a = _upper_triangle_in_fresh_pages(h)  # a[j, j:] is column j of a.T
+    scale = _dsyevd_scale(h)
+    if scale is not None:  # dsyevd's dlascl: one multiply per entry
+        a *= scale
+    w, e, tau = np.empty(n), np.empty(n), np.empty(n)
+    query = np.empty(1)
+    _call_lapack("sytrd", uplo="L", n=n, a=a.T, lda=n, d=w, e=e, tau=tau,
+                 work=query, lwork=-1)
+    lwork_trd = int(query[0])
+    work, _ = _workspace(n, lwork_trd)
+    _call_lapack("sytrd", uplo="L", n=n, a=a.T, lda=n, d=w, e=e, tau=tau,
+                 work=work, lwork=lwork_trd)
+    reflectors = _fresh_pages(n * (n - 1) // 2, "Householder reflectors", n,
+                              written_whole=True)
+    for j, packed in _below_the_diagonal(n):
+        reflectors[packed] = a[j, j + 1:]
+    del a  # the matrix's last reference: its pages are unmapped
+
+    # the workspace dsyevd gives its last two steps: its optimal one, less
+    # e, tau and the n x n eigenvectors it solves into
+    lwork = max(1 + 6 * n + 2 * n * n, 2 * n + lwork_trd) - 2 * n - n * n
+    z = _fresh_pages(n * n, "eigenvectors", n, written_whole=True)
+    z = z.reshape(n, n).T
+    work = _fresh_pages(lwork, "dstedc workspace", n, written_whole=True)
+    _, iwork = _workspace(n, 0, 3 + 5 * n)
+    _call_lapack("stedc", compz="I", n=n, d=w, e=e, z=z, ldz=n, work=work,
+                 lwork=lwork, iwork=iwork, liwork=iwork.size)
+    v = work[:n * n].reshape(n, n)  # dormtr's n x n matrix, as v.T
+    for j, packed in _below_the_diagonal(n):
+        v[j, j + 1:] = reflectors[packed]
+    del reflectors
+    _call_lapack("ormtr", side="L", uplo="L", trans="N", m=n, n=n, a=v.T,
+                 lda=n, tau=tau, c=z, ldc=n,
+                 work=_fresh_pages(lwork, "dormtr workspace", n), lwork=lwork)
+    if scale is not None:  # dsyevd's dscal
+        w *= 1.0 / scale
+    return w, z
+
+
+def _fresh_pages(count: int, name: str, n: int,
+                 written_whole: bool = False) -> np.ndarray:
+    """``count`` float64 entries, zero, in a fresh anonymous mapping, which
+    is unmapped when the last array on it is freed.
+
+    A page of such a mapping becomes resident when it is first touched.
+    ``np.empty`` gives no such guarantee: glibc may serve it from heap it
+    already holds, and numpy advises huge pages for large arrays, which
+    make whole 2 MiB regions resident.  A mapping that LAPACK writes
+    whole gets that advice too, since it then costs no memory: on a 2-core
+    Xeon VM the 7x7 solve with vectors took 4% longer than ``dsyevd`` in
+    numpy's huge-page workspace with 4 KiB pages, and 7% less with huge
+    pages.
 
     A mapping the system refuses for want of memory raises
     DimensionTooLargeError: the point is beyond this machine's resources.
     """
-    n = h.dim
     # MAP_PRIVATE exists on POSIX only; elsewhere the plain anonymous mapping
     flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-    try:
-        pages = mmap.mmap(-1, 8 * n * n, **flags)
+    try:  # an empty mapping is an error, so at least one entry
+        pages = mmap.mmap(-1, 8 * max(count, 1), **flags)
     except OSError as err:
         if err.errno != errno.ENOMEM:
             raise
         raise DimensionTooLargeError(
-            f"cannot map the {8 * n * n}-byte dense matrix of dimension {n}: "
+            f"cannot map the {8 * count}-byte {name} of dimension {n}: "
             f"{err.strerror}") from err
-    a = np.frombuffer(pages, dtype=np.float64).reshape(n, n)
+    if written_whole and hasattr(mmap, "MADV_HUGEPAGE"):
+        # only advice: a kernel without transparent huge pages refuses it
+        with contextlib.suppress(OSError):
+            pages.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(pages, dtype=np.float64)[:count]
+
+
+def _upper_triangle_in_fresh_pages(h: HamiltonianMatrix) -> np.ndarray:
+    """H's diagonal and stored upper triangle in an n x n C-order array,
+    the strict lower triangle left zero, in fresh pages.
+
+    Pages that lie wholly in the strict lower triangle take no memory until
+    something reads them.  No huge pages are asked for: every 2 MiB of the
+    matrix holds entries of the stored triangle, so they would make all of
+    it resident.
+    """
+    n = h.dim
+    a = _fresh_pages(n * n, "dense matrix", n).reshape(n, n)
     a[np.arange(n), np.arange(n)] = h.diagonal
     a[h.rows, h.cols] = h.values
     return a
@@ -253,23 +370,25 @@ def diagonalize(h: HamiltonianMatrix,
     ``DENSE_EIGENVECTOR_LIMIT`` with eigenvectors and
     ``DENSE_EIGENVALUE_LIMIT`` without.
 
-    LAPACK gets the column-major ``.T`` view of the upper triangle written
-    into fresh pages, whose lower triangle (``lower=True``) is the one it
-    reads, and overwrites that buffer instead of copying it.  Without
-    vectors, pages lying wholly in the other triangle never become
-    resident; with vectors, the returned eigenvectors fill the whole
-    buffer, in Fortran order.
+    H's diagonal and stored upper triangle are written into fresh pages,
+    and LAPACK reads them as the lower triangle of their column-major
+    ``.T`` view.  Without vectors, ``dsyevr`` solves in that buffer, and
+    pages lying wholly in the other triangle never become resident.  With
+    vectors, the three steps of ``dsyevd`` run one by one, so the solve
+    holds 2.5·8n² instead of ``dsyevd``'s 3·8n², and the eigenvectors
+    come back in a mapping of their own, in Fortran order.
 
     The solve calls the LAPACK of numpy's OpenBLAS, so no process loads
-    scipy for it; where numpy uses another LAPACK, ``scipy.linalg.eigh``
-    runs the same driver.
+    scipy for it, and its results are the bits of ``scipy.linalg.eigh``
+    with the same driver; where numpy uses another LAPACK,
+    ``scipy.linalg.eigh`` runs that driver.
     """
     check_dense_limit(h.dim, compute_vectors)
+    if _LAPACK is not None and compute_vectors:
+        return SpectralData(h.basis, h.params, *_eigh_in_steps(h))
     dense = _upper_triangle_in_fresh_pages(h).T
     if _LAPACK is not None:
-        vals = _solve_in_place(dense, compute_vectors)
-        return SpectralData(h.basis, h.params, vals,
-                            dense if compute_vectors else None)
+        return SpectralData(h.basis, h.params, _solve_in_place(dense))
     import scipy.linalg
     try:
         solved = scipy.linalg.eigh(

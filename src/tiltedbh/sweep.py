@@ -219,6 +219,12 @@ def run_point(config: SweepConfig, n: int, m: int, u: float,
     A failure does not raise: it sets the record's ``status`` and
     ``error`` and keeps the fields computed before it.
     """
+    # every block of 2 MiB or more gets a mapping of its own, returned to
+    # the system when it is freed; left dynamic, glibc raises the threshold
+    # to the size of each mapped block freed, up to 32 MiB, and keeps the
+    # later blocks of that size on its brk heap once they are freed
+    if _MALLOPT is not None:
+        _MALLOPT(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     diags = set(config.diagnostics)
     with_vectors = bool(diags - {"gap_ratio"})
     record = _point_record(n, m, u, d)
@@ -331,33 +337,31 @@ def _write_point_files(config: SweepConfig, out_dir: Path,
     return rec
 
 
-def _malloc_trim():
-    """glibc's ``malloc_trim``, or None where the C library has none."""
+# glibc's M_MMAP_THRESHOLD and the value it is fixed at; at 4 MiB a 7x7 cut
+# peaked 3 MB higher than at 2-3.5 MiB, its blocks of 3.5-4 MiB left on
+# the heap
+_M_MMAP_THRESHOLD, _MMAP_THRESHOLD = -3, 2 << 20
+
+
+def _mallopt():
+    """glibc's ``mallopt``, or None where the C library has none."""
     try:
-        trim = ctypes.CDLL(None).malloc_trim
+        mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
         return None
-    trim.argtypes = [ctypes.c_size_t]
-    trim.restype = ctypes.c_int
-    return trim
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return mallopt
 
 
-_MALLOC_TRIM = _malloc_trim()
+_MALLOPT = _mallopt()
 
 
 def _compute_point(config: SweepConfig, out_dir: Path, n: int, m: int,
                    u: float, d: float) -> dict:
     """The (N, M, U, D) record, returned once the point's eigenstate
     profile and trace files, if the config saves them, are in ``out_dir``."""
-    try:
-        return _write_point_files(config, out_dir,
-                                  run_point(config, n, m, u, d))
-    finally:
-        # the point's arrays are freed by now; glibc keeps their brk heap,
-        # where its mmap threshold, raised by the first freed work buffer of
-        # up to 32 MiB, puts later ones, so the next point would start on it
-        if _MALLOC_TRIM is not None:
-            _MALLOC_TRIM(0)
+    return _write_point_files(config, out_dir, run_point(config, n, m, u, d))
 
 
 # -- journal / results persistence -------------------------------------------

@@ -38,25 +38,28 @@ def run_in_fresh_python(code: str) -> str:
     return run.stdout
 
 
-def fake_lapack(monkeypatch, driver, lwork=1, **outputs):
-    """Replace the LAPACK ``driver`` ("evr" or "evd") that
-    ``spectrum.diagonalize`` calls by one that answers the workspace query
-    with ``lwork`` and, when asked to solve, only sets its integer
-    ``outputs`` (such as ``info``) and leaves the arrays as they are."""
+def fake_lapack(monkeypatch, routine, lwork=1, **outputs):
+    """Replace the LAPACK ``routine`` that ``spectrum.diagonalize`` calls
+    ("syevr" without vectors; "sytrd", "stedc" or "ormtr", the steps of
+    the solve with them) by one that answers a workspace query with
+    ``lwork`` and, when asked to solve, only sets its integer ``outputs``
+    (such as ``info``) and leaves the arrays as they are."""
     from tiltedbh import spectrum
 
-    names = list(spectrum._LAPACK_ARGUMENTS[driver])
+    names = list(spectrum._LAPACK_ARGUMENTS[routine])
 
     def fake(*values):
         args = dict(zip(names, values))
         if args["lwork"].value == -1:
-            args["work"][0], args["iwork"][0] = lwork, 1
+            args["work"][0] = lwork
+            if "iwork" in args:
+                args["iwork"][0] = 1
             return
         for name, value in outputs.items():
             args[name].value = value
 
     monkeypatch.setattr(spectrum, "_LAPACK",
-                        {**(spectrum._LAPACK or {}), driver: fake})
+                        {**(spectrum._LAPACK or {}), routine: fake})
 
 
 def compositions(n, m):

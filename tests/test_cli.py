@@ -238,24 +238,45 @@ def test_memory_error_is_a_resource_limit(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("starved", ["matrix", "workspace"])
+# the fresh mappings of a solve with eigenvectors, in the order it maps them
+_VECTOR_MAPPINGS = ["dense matrix", "Householder reflectors", "eigenvectors",
+                    "dstedc workspace", "dormtr workspace"]
+
+
+@pytest.mark.parametrize("starved", ["matrix", "workspace",
+                                     *_VECTOR_MAPPINGS[1:]])
 def test_solve_the_system_cannot_allocate_is_a_resource_limit(
         tmp_path, capsys, monkeypatch, starved):
+    import mmap
+
     def no_memory(*args, **kwargs):
         raise OSError(errno.ENOMEM, "Cannot allocate memory")
 
+    command = "spectrum"
     if starved == "matrix":
         monkeypatch.setattr("mmap.mmap", no_memory)
         message = "cannot map the 800-byte dense matrix of dimension 10"
-    else:  # a workspace of 2^61 bytes, which no allocator grants
-        fake_lapack(monkeypatch, "evr", lwork=2 ** 58)
+    elif starved == "workspace":  # 2^61 bytes, which no allocator grants
+        fake_lapack(monkeypatch, "syevr", lwork=2 ** 58)
         message = (f"cannot allocate the {2 ** 61 + 8}-byte LAPACK "
                    "workspace of dimension 10")
+    else:  # the mappings before it are granted
+        command, real_mmap, calls = "eigenstates", mmap.mmap, []
+
+        def no_memory_for_this_one(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > _VECTOR_MAPPINGS.index(starved):
+                no_memory()
+            return real_mmap(*args, **kwargs)
+
+        monkeypatch.setattr("mmap.mmap", no_memory_for_this_one)
+        message = f"-byte {starved} of dimension 10: Cannot allocate memory"
     cfg = _write(tmp_path / "c.json",
                  {"n_bosons": 3, "n_sites": 3, "u": 0.5, "d": 0.5})
     out = tmp_path / "o"
-    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
-    assert f": skipped_dimension ({message}" in capsys.readouterr().err
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert ": skipped_dimension (" in err and message in err
     assert not out.exists()
 
 

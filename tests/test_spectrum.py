@@ -73,14 +73,32 @@ def test_eigensolve_is_bit_identical_to_plain_eigh():
 
 
 # Run in a fresh interpreter, whose OpenBLAS reads its thread count when it
-# is loaded: the solve against scipy.linalg.eigh with the same driver.
+# is loaded: the solve against scipy.linalg.eigh with the same driver.  With
+# vectors: dimensions 1 and 2; 10 and 21, on either side of the n = 14 below
+# which dsytrd's workspace sizes dsyevd's; 56, 462 and 1716, above the 25 up
+# to which dstedc hands the whole problem to dsteqr; and H scaled so far
+# that dsyevd scales it back.
 _SAME_BITS_AS_SCIPY = """
 import sys
 import numpy as np
 from tiltedbh import FockBasis, ModelParams, build, diagonalize, spectrum
+from tiltedbh.hamiltonian import HamiltonianMatrix
 
-solves = [(build(FockBasis(7, 7), ModelParams(u=0.5, d=0.8)), False),
+def scaled(h, factor):
+    return HamiltonianMatrix(h.basis, h.params, h.diagonal * factor, h.rows,
+                             h.cols, h.values * factor)
+
+h77 = build(FockBasis(7, 7), ModelParams(u=0.5, d=0.8))
+solves = [(h77, False), (h77, True),
           (build(FockBasis(6, 6), ModelParams(u=1.0, d=0.3)), True)]
+solves += [(build(FockBasis(n, m), ModelParams(u=0.7, d=0.4)), True)
+           for n, m in [(3, 1), (1, 2), (3, 3), (5, 3)]]
+small = build(FockBasis(3, 6), ModelParams(u=0.7, d=0.4))
+solves += [(scaled(small, factor), True) for factor in (1e-150, 1e150)]
+# dsyevd returns a 1 x 1 matrix before it would scale it, and scaling this
+# one would move its eigenvalue
+one = build(FockBasis(3, 1), ModelParams(u=0.7, d=0.4))
+solves.append((scaled(one, 3e-160), True))
 results = [diagonalize(h, vectors) for h, vectors in solves]
 print("resolved" if spectrum._LAPACK else "fallback",
       "scipy" in sys.modules)
@@ -89,10 +107,10 @@ for (h, vectors), spec in zip(solves, results):
     dense = h.to_dense()
     if vectors:
         vals, vecs = scipy.linalg.eigh(dense, driver="evd")
-        assert np.array_equal(spec.eigenvectors, vecs)
+        assert np.array_equal(spec.eigenvectors, vecs), h.dim
     else:
         vals = scipy.linalg.eigh(dense, eigvals_only=True, driver="evr")
-    assert np.array_equal(spec.eigenvalues, vals)
+    assert np.array_equal(spec.eigenvalues, vals), h.dim
 print("same bits")
 """
 
@@ -119,36 +137,46 @@ def test_unresolved_lapack_solves_through_scipy(monkeypatch):
     assert np.array_equal(both.eigenvectors, expected[1].eigenvectors)
 
 
-@pytest.mark.parametrize("with_vectors, outputs, error, message", [
-    (False, {"info": 1}, ConvergenceError, "dsyevr info=1"),
-    (True, {"info": 1}, ConvergenceError, "dsyevd info=1"),
-    (True, {"info": -5}, ValueError, r"argument 5 \(lda\)"),
-    (False, {"m": 9}, ConvergenceError, "found 9 of 10"),
-], ids=["evr_info", "evd_info", "illegal_argument", "missing_eigenvalue"])
-def test_lapack_status_is_an_error(monkeypatch, with_vectors, outputs, error,
+@pytest.mark.parametrize("routine, outputs, error, message", [
+    ("syevr", {"info": 1}, ConvergenceError, "dsyevr info=1"),
+    ("sytrd", {"info": 1}, ConvergenceError, "dsytrd info=1"),
+    ("stedc", {"info": 1}, ConvergenceError, "dstedc info=1"),
+    ("ormtr", {"info": 1}, ConvergenceError, "dormtr info=1"),
+    ("sytrd", {"info": -4}, ValueError,
+     r"dsytrd rejected its argument 4 \(lda\)"),
+    ("stedc", {"info": -6}, ValueError,
+     r"dstedc rejected its argument 6 \(ldz\)"),
+    ("ormtr", {"info": -7}, ValueError,
+     r"dormtr rejected its argument 7 \(lda\)"),
+    ("syevr", {"m": 9}, ConvergenceError, "found 9 of 10"),
+], ids=["evr_info", "trd_info", "stedc_info", "ormtr_info", "illegal_argument",
+        "stedc_illegal_argument", "ormtr_illegal_argument",
+        "missing_eigenvalue"])
+def test_lapack_status_is_an_error(monkeypatch, routine, outputs, error,
                                    message):
     h = build(FockBasis(3, 3), ModelParams(u=0.5, d=0.5))
-    fake_lapack(monkeypatch, spectrum.EIGH_DRIVER[with_vectors], **outputs)
+    fake_lapack(monkeypatch, routine, **outputs)
     with pytest.raises(error, match=message):
-        diagonalize(h, with_vectors)
+        diagonalize(h, routine != "syevr")
 
 
 def test_lapack_needs_a_writeable_fortran_matrix():
     for a in (np.zeros((3, 3)), np.zeros((3, 3), order="F")[:, :2],
               np.zeros((3, 3), dtype=np.float32, order="F")):
         with pytest.raises(ValueError, match="Fortran-ordered float64"):
-            spectrum._solve_in_place(a, compute_vectors=False)
+            spectrum._solve_in_place(a)
     a = np.zeros((3, 3), order="F")
     a.flags.writeable = False
     with pytest.raises(ValueError, match="writeable"):
-        spectrum._solve_in_place(a, compute_vectors=True)
+        spectrum._solve_in_place(a)
 
 
 @pytest.mark.parametrize("with_vectors, bound", [(False, 0.5), (True, 2.5)])
 def test_eigensolve_works_in_the_hamiltonian_buffer(with_vectors, bound):
-    # the dense matrix lives in its own mapping, which tracemalloc does not
-    # see: what it sees is the two matrices of dsyevd's workspace for the
-    # vectors, and a copy of the matrix for LAPACK would add one more
+    # the dense matrix, and with vectors the reflectors, the eigenvectors
+    # and the workspaces of dstedc and dormtr, live in mappings of their
+    # own, which tracemalloc does not see; a copy of the matrix for LAPACK
+    # would add one more
     h = build(FockBasis(6, 6), ModelParams(u=0.5, d=0.8))
     tracemalloc.start()
     try:
@@ -171,7 +199,7 @@ def status_kib(key):
 
 h = build(FockBasis(7, 7), ModelParams(u=0.5, d=0.5))
 before = status_kib("VmRSS")
-diagonalize(h, compute_vectors=False)
+diagonalize(h, compute_vectors={vectors})
 print((status_kib("VmHWM") - before) * 1024 / (8 * h.dim ** 2))
 """
 
@@ -181,8 +209,17 @@ print((status_kib("VmHWM") - before) * 1024 / (8 * h.dim ** 2))
 def test_value_only_eigensolve_leaves_the_unread_triangle_unmapped():
     # LAPACK reads one triangle of the 8n^2-byte matrix, so at least half
     # of it becomes resident; a fully resident matrix reaches 1.0 and more
-    growth = float(run_in_fresh_python(_RESIDENT_GROWTH))
+    growth = float(run_in_fresh_python(_RESIDENT_GROWTH.format(vectors=False)))
     assert 0.4 < growth < 0.9
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmRSS and VmHWM from /proc/self/status")
+def test_eigensolve_with_vectors_holds_two_and_a_half_matrices():
+    # dsyevd holds the matrix and a workspace of two more (3.29 at 7x7);
+    # its steps hold the reflectors, the vectors and dstedc's workspace
+    growth = float(run_in_fresh_python(_RESIDENT_GROWTH.format(vectors=True)))
+    assert growth < 3.0
 
 
 def test_dimension_limits(monkeypatch):

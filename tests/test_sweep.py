@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from tiltedbh.sweep import (
     run_point,
 )
 from tiltedbh import FockBasis, ModelParams, build, diagonalize, mean_gap_ratio
+
+from conftest import run_in_fresh_python
 
 
 BASE = {
@@ -602,17 +605,39 @@ def test_dead_worker_fails_its_points_and_resume_recomputes_them(
         (clean / "results.csv").read_bytes()
 
 
-def test_each_point_releases_freed_heap_failed_points_included(tmp_path,
-                                                                monkeypatch):
-    import tiltedbh.sweep as sweep_mod
+# A block glibc maps on its own and then frees raises its dynamic mmap
+# threshold to the block's size, up to 32 MiB: a later block of 16 MiB then
+# comes from the brk heap, which keeps it once it is freed.
+_HEAP_AFTER_A_POINT = """
+import re
+import numpy as np
+from tiltedbh import SweepConfig
+from tiltedbh.config import ALLOWED_DIAGNOSTICS
+from tiltedbh.sweep import run_point
 
-    released = []
-    monkeypatch.setattr(sweep_mod, "_MALLOC_TRIM", released.append)
-    config = _config(d_values=[0.5])
-    config.u_values = [-1.0, 0.5, 1.0]  # the first point fails
-    records = run_cut(config, tmp_path / "out")
-    assert [r["status"] for r in records] == ["error", "ok", "ok"]
-    assert released == [0, 0, 0]
+def rss_kib():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmRSS:\\s+(\\d+) kB", fh.read()).group(1))
+
+config = SweepConfig.from_dict({
+    "system_sizes": [[4, 4]], "u_values": [0.5], "d_values": [0.4],
+    "diagnostics": list(ALLOWED_DIAGNOSTICS), "survival_sample_count": 4,
+    "entropy_sample_count": 3, "seed": 5})
+assert run_point(config, 4, 4, 0.5, 0.4).record["status"] == "ok"
+start = rss_kib()
+block = np.ones(3 << 20)  # 24 MiB
+del block
+block = np.ones(2 << 20)  # 16 MiB
+del block
+print((rss_kib() - start) / 1024)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmRSS from /proc/self/status")
+def test_point_fixes_the_mmap_threshold_so_freed_blocks_leave():
+    # in MiB; the 16 MiB block stays resident where the threshold is dynamic
+    assert abs(float(run_in_fresh_python(_HEAP_AFTER_A_POINT))) < 4
 
 
 def test_point_leaves_no_array_for_the_cyclic_gc_to_free():
@@ -642,16 +667,15 @@ def test_point_leaves_no_array_for_the_cyclic_gc_to_free():
     assert held == []
 
 
-def test_sweep_without_malloc_trim_gives_the_same_results(tmp_path,
-                                                          monkeypatch):
+def test_sweep_without_mallopt_gives_the_same_results(tmp_path, monkeypatch):
     import ctypes
 
     import tiltedbh.sweep as sweep_mod
 
     run_cut(_config(), tmp_path / "with")
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
-    assert sweep_mod._malloc_trim() is None
-    monkeypatch.setattr(sweep_mod, "_MALLOC_TRIM", None)
+    assert sweep_mod._mallopt() is None
+    monkeypatch.setattr(sweep_mod, "_MALLOPT", None)
     run_cut(_config(), tmp_path / "without")
     assert (tmp_path / "without" / "results.csv").read_bytes() == \
         (tmp_path / "with" / "results.csv").read_bytes()
