@@ -13,7 +13,6 @@ becomes a one-point ``SweepConfig``.  Unknown keys and invalid values raise
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
@@ -22,6 +21,17 @@ from pathlib import Path
 
 from . import dynamics
 from ._version import __version__
+
+# CPython's built-in SHA-256 (``_sha2`` from 3.12, ``_sha256`` before):
+# ``hashlib`` would load ``_hashlib`` and with it OpenSSL's libcrypto,
+# 3.6 MiB of a process that draws no random ensemble
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # an interpreter built without its own SHA-256
+        from hashlib import sha256
 
 __all__ = [
     "ConfigError",
@@ -240,7 +250,7 @@ def output_metadata(settings: dict, seed: int) -> dict:
     """Config hash, seed and package version, stamped on every output."""
     canon = json.dumps(settings, sort_keys=True)
     return {
-        "config_hash": hashlib.sha256(canon.encode()).hexdigest()[:12],
+        "config_hash": sha256(canon.encode()).hexdigest()[:12],
         "seed": seed,
         "version": __version__,
     }

@@ -58,6 +58,7 @@ __all__ = [
     "survival_probability",
     "moving_average",
     "survival_trace",
+    "ensemble_survival",
     "observable_trace",
     "correlation_hole_depth",
     "estimate_curve_inputs",
@@ -140,18 +141,23 @@ def survival_probability(coefficients, eigenvalues, times) -> np.ndarray:
     Returns shape (n_times,) for a single coefficient vector, otherwise
     (n_states, n_times).
     """
-    w = _weights(coefficients)
+    sp = _survival(_weights(coefficients), eigenvalues, times)
+    if np.ndim(coefficients) == 1:
+        return sp[0]
+    return sp
+
+
+def _survival(weights, eigenvalues, times) -> np.ndarray:
+    """S_P of each row of squared amplitudes ``weights`` (shape
+    n_states x n_times); ``weights`` is only read."""
     t = times.points if isinstance(times, TimeGrid) else np.asarray(times)
     energies = np.asarray(eigenvalues, dtype=np.float64)
     # one (dim, n_times) buffer holds the phases, then their cosines, then
     # the phases again and their sines
     phase = np.multiply.outer(energies, t)
-    re = w @ np.cos(phase, out=phase)
-    im = w @ np.sin(np.multiply.outer(energies, t, out=phase), out=phase)
-    sp = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
-    if np.ndim(coefficients) == 1:
-        return sp[0]
-    return sp
+    re = weights @ np.cos(phase, out=phase)
+    im = weights @ np.sin(np.multiply.outer(energies, t, out=phase), out=phase)
+    return np.add(np.square(re, out=re), np.square(im, out=im), out=re)
 
 
 def moving_average(series, window_points: int) -> np.ndarray:
@@ -208,6 +214,19 @@ def survival_trace(coefficients, eigenvalues, time_grid: TimeGrid,
                    ) -> QuenchTrace:
     sp = survival_probability(np.atleast_2d(coefficients), eigenvalues, time_grid)
     return QuenchTrace.from_values(time_grid, sp, "survival", smoothing_window)
+
+
+def ensemble_survival(ensemble_indices, spectral: SpectralData,
+                      time_grid: TimeGrid,
+                      smoothing_window: int = DEFAULT_SMOOTHING_WINDOW
+                      ) -> tuple[QuenchTrace, float]:
+    """``survival_trace`` and ``ensemble_ipr`` of an ensemble's states,
+    taken from one array of squared amplitudes: the coefficient rows are
+    freed once squared, before the trace's (dim x n_times) phase buffer."""
+    weights = _weights(ensemble_amplitudes(ensemble_indices, spectral))
+    sp = _survival(weights, spectral.eigenvalues, time_grid)
+    trace = QuenchTrace.from_values(time_grid, sp, "survival", smoothing_window)
+    return trace, _ipr(weights)
 
 
 def observable_trace(ensemble_indices, spectral: SpectralData,

@@ -20,11 +20,8 @@ import json
 import os
 import sys
 import zipfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -265,12 +262,10 @@ def run_point(config: SweepConfig, n: int, m: int, u: float,
         if "survival" in diags:
             grid = dynamics.log_time_grid(
                 config.time_min, config.time_max, config.time_points)
-            coeff = dynamics.ensemble_amplitudes(
-                point.ensembles["survival"].indices, spec)
-            trace = point.traces["survival"] = dynamics.survival_trace(
-                coeff, spec.eigenvalues, grid, config.smoothing_window)
-            ipr = dynamics.ensemble_ipr(coeff)
-            del coeff  # freed before the traces allocate their buffers
+            trace, ipr = dynamics.ensemble_survival(
+                point.ensembles["survival"].indices, spec, grid,
+                config.smoothing_window)
+            point.traces["survival"] = trace
             hole = point.hole = dynamics.correlation_hole_depth(
                 trace, ipr, tuple(config.hole_window))
             record["ipr"] = hole.ipr
@@ -423,6 +418,10 @@ def _worker_pool(workers: int, calls: list):
     the workers, so the variables are set only while submitting and the
     parent's environment is restored afterwards.
     """
+    # imported here, so that a serial run never loads the process pool
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     threads = str(max(1, (os.cpu_count() or 1) // workers))
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
@@ -470,6 +469,9 @@ def run_cut(config: SweepConfig, out_dir, resume: bool = False) -> list:
         for point in pending:
             finish(point, _compute_point(config, out, *point))
     else:
+        from concurrent.futures import as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         calls = [(_compute_point, config, out, *point) for point in pending]
         with _worker_pool(config.workers, calls) as submitted:
             futures = dict(zip(submitted, pending))

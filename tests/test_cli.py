@@ -1,5 +1,6 @@
 import errno
 import filecmp
+import hashlib
 import json
 import re
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tiltedbh import config as config_module
 from tiltedbh.cli import main
 from tiltedbh.config import (
     _COMMAND_KEYS,
@@ -329,6 +331,43 @@ def test_shipped_configs_load_through_the_schema(path):
         config, _ = point_config(raw, command)
         assert config.system_sizes == [[raw["n_bosons"], raw["n_sites"]]]
         assert (config.u_values, config.d_values) == ([raw["u"]], [raw["d"]])
+
+
+# the config_hash each shipped config's command stamps on its outputs
+_SHIPPED_CONFIG_HASHES = {
+    "basis_8x8.json": "608de8cc345f",
+    "chaos_map_6x6_quick.json": "55e51bb0ab14",
+    "chaos_map_8x8.json": "940f396d3f4c",
+    "eigenstates_8x8_chaotic.json": "d80a92f703a0",
+    "interaction_cut_scaling.json": "79b26e4dbbb2",
+    "quench_chaotic_8x8.json": "0ddaa41e3fdd",
+    "spectrum_8x8_chaotic.json": "a249110f81fa",
+    "tilt_cut_scaling.json": "e7fccfe0f544",
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_config_hashes_stay_the_same(path, tmp_path):
+    raw = json.loads(path.read_text())
+    command = path.name.split("_")[0]
+    if "system_sizes" in raw:
+        metadata = SweepConfig.from_dict(raw).metadata()
+    elif command == "basis":
+        assert main(["basis", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+        metadata = json.loads((tmp_path / "basis_summary.json").read_text())
+    else:
+        config, own = point_config(raw, command)
+        metadata = config.metadata(own)
+    assert metadata["config_hash"] == _SHIPPED_CONFIG_HASHES[path.name]
+
+
+def test_config_hash_is_sha256():
+    for data in (b"", b"x", json.dumps({"u": 0.5}).encode(),
+                 bytes(range(256)) * 9):
+        assert config_module.sha256(data).hexdigest() == \
+            hashlib.sha256(data).hexdigest()
 
 
 def test_readme_config_table_names_every_config_key():

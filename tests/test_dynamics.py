@@ -486,6 +486,28 @@ def test_survival_probability_holds_one_phase_buffer(rows_66):
     assert peak <= 1.1 * (s * dim + dim * t + 2 * s * t)
 
 
+def test_ensemble_survival_is_survival_trace_and_ipr(rows_66):
+    spec, pick, grid = rows_66
+    coeff = ensemble_amplitudes(pick, spec)
+    trace, ipr = dynamics.ensemble_survival(pick, spec, grid, 5)
+    expected = survival_trace(coeff, spec.eigenvalues, grid, 5)
+    for name in ("values", "ensemble_mean", "smoothed_mean"):
+        assert np.array_equal(getattr(trace, name), getattr(expected, name))
+    assert (trace.relaxation_value, trace.observable, trace.smoothing_window) \
+        == (expected.relaxation_value, "survival", 5)
+    assert ipr == ensemble_ipr(coeff)
+
+
+def test_ensemble_survival_holds_one_weight_array(rows_66):
+    spec, pick, grid = rows_66
+    s, dim, t = pick.size, spec.dim, len(grid)
+    peak = _peak_doubles(
+        lambda: dynamics.ensemble_survival(pick, spec, grid))
+    # the weights, one (dim, T) phase buffer, and the re and im products;
+    # the coefficient rows beside them would add s * dim
+    assert peak <= 1.1 * (s * dim + dim * t + 2 * s * t)
+
+
 def test_estimate_curve_inputs_holds_weights_or_one_kernel_block(rows_66):
     spec, pick, _ = rows_66
     coeff = ensemble_amplitudes(pick, spec)

@@ -1,7 +1,8 @@
 """Guards on the names other code reaches: every exported name and every
 library name the README cites resolves, every function the benchmark's
-tracer wraps exists, and only a process that runs an eigensolve loads
-scipy."""
+tracer wraps exists, only a process that runs an eigensolve loads scipy,
+and a serial run loads neither the process pool nor, unless it draws an
+ensemble, OpenSSL."""
 
 import importlib
 import importlib.util
@@ -16,6 +17,7 @@ import pytest
 
 import tiltedbh
 from tiltedbh.cli import main
+from tiltedbh.config import ALLOWED_DIAGNOSTICS
 
 from conftest import run_in_fresh_python
 
@@ -149,3 +151,52 @@ def test_package_import_loads_neither_scipy_special_nor_sparse(tmp_path):
     loaded = json.loads(run_in_fresh_python(_SCIPY_LOADS.format(
         config=str(config), out=str(tmp_path / "warm"))).splitlines()[-1])
     assert loaded == {"import": [], "warm quench": [], "solve": []}
+
+
+# Run in a fresh interpreter: which of the process pool and OpenSSL's
+# ``_hashlib`` are loaded after importing the package, after a serial
+# chaos map and after a serial all-diagnostics cut.
+_POOL_AND_OPENSSL_LOADS = """
+import json
+import sys
+
+import tiltedbh
+import tiltedbh.cli
+
+
+def loaded():
+    return [name for name in
+            ("concurrent.futures.process", "multiprocessing", "_hashlib")
+            if name in sys.modules]
+
+
+seen = {{"import": loaded()}}
+for command, config, out in {runs!r}:
+    assert tiltedbh.cli.main([command, "--config", config, "--out", out]) == 0
+    seen[command] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_serial_runs_load_neither_the_process_pool_nor_openssl(tmp_path):
+    # a serial sweep never starts a pool, and the config hash is CPython's
+    # own SHA-256; only drawing an ensemble loads OpenSSL, through
+    # numpy.random's import of secrets and hashlib
+    sweep = {"system_sizes": [[4, 4]], "u_values": [0.5], "seed": 3,
+             "workers": 1}
+    configs = {
+        "chaos-map": {**sweep, "d_values": [0.4, 1.0],
+                      "diagnostics": ["gap_ratio"]},
+        "cut": {**sweep, "d_values": [0.4],
+                "diagnostics": list(ALLOWED_DIAGNOSTICS),
+                "survival_sample_count": 4, "entropy_sample_count": 3,
+                "save_traces": True, "save_eigenstate_profiles": True},
+    }
+    runs = []
+    for command, raw in configs.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(raw))
+        runs.append((command, str(path), str(tmp_path / command)))
+    loaded = json.loads(run_in_fresh_python(_POOL_AND_OPENSSL_LOADS.format(
+        runs=runs)).splitlines()[-1])
+    assert loaded == {"import": [], "chaos-map": [], "cut": ["_hashlib"]}

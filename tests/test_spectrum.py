@@ -171,12 +171,13 @@ def test_lapack_needs_a_writeable_fortran_matrix():
         spectrum._solve_in_place(a)
 
 
-@pytest.mark.parametrize("with_vectors, bound", [(False, 0.5), (True, 2.5)])
-def test_eigensolve_works_in_the_hamiltonian_buffer(with_vectors, bound):
+@pytest.mark.parametrize("with_vectors", [False, True])
+def test_eigensolve_works_in_the_hamiltonian_buffer(with_vectors):
     # the dense matrix, and with vectors the reflectors, the eigenvectors
     # and the workspaces of dstedc and dormtr, live in mappings of their
-    # own, which tracemalloc does not see; a copy of the matrix for LAPACK
-    # would add one more
+    # own, which tracemalloc does not see; what it sees is O(n): at n = 462
+    # about 37.5 * 8n with vectors and 48 * 8n without.  A heap copy of the
+    # matrix for LAPACK would add n * 8n
     h = build(FockBasis(6, 6), ModelParams(u=0.5, d=0.8))
     tracemalloc.start()
     try:
@@ -184,7 +185,7 @@ def test_eigensolve_works_in_the_hamiltonian_buffer(with_vectors, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * h.dim ** 2) < bound
+    assert peak / (8 * h.dim) < 64
 
 
 _RESIDENT_GROWTH = """
