@@ -129,25 +129,58 @@ _LAPACK_ARGUMENTS = {
 }
 
 
-def _numpy_lapack() -> dict | None:
-    """The routines of ``_LAPACK_ARGUMENTS`` in the OpenBLAS numpy loaded,
-    by those names, or None where numpy uses another LAPACK (MKL,
-    Accelerate, a system build)."""
+def _numpy_openblas(symbols: dict) -> dict | None:
+    """The functions of the OpenBLAS numpy loaded, by the keys of
+    ``symbols``, which map each to its (symbol name, argument types,
+    result type); or None where one does not resolve, as where numpy uses
+    another BLAS (MKL, Accelerate, a system build)."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        found = {routine: getattr(lib, _LAPACK_SYMBOL.format(routine))
-                 for routine in _LAPACK_ARGUMENTS}
+        found = {key: getattr(lib, name)
+                 for key, (name, _, _) in symbols.items()}
     except (OSError, AttributeError):
         return None
-    for routine, fn in found.items():
-        types = list(_LAPACK_ARGUMENTS[routine].values())
-        # gfortran passes each character argument's length after the last
-        fn.argtypes = types + [ctypes.c_size_t] * types.count(ctypes.c_char_p)
-        fn.restype = None
+    for key, (_, argtypes, restype) in symbols.items():
+        found[key].argtypes, found[key].restype = argtypes, restype
     return found
 
 
+def _numpy_lapack() -> dict | None:
+    """The routines of ``_LAPACK_ARGUMENTS`` in numpy's OpenBLAS, by those
+    names, or None where they do not resolve."""
+    symbols = {}
+    for routine, kinds in _LAPACK_ARGUMENTS.items():
+        types = list(kinds.values())
+        # gfortran passes each character argument's length after the last
+        symbols[routine] = (_LAPACK_SYMBOL.format(routine), types
+                            + [ctypes.c_size_t] * types.count(ctypes.c_char_p),
+                            None)
+    return _numpy_openblas(symbols)
+
+
 _LAPACK = _numpy_lapack()
+# the thread count of numpy's OpenBLAS, which every later BLAS and LAPACK
+# call of the process runs with: ``get()`` and ``set(count)``, or None
+_BLAS_THREADS = _numpy_openblas({
+    "get": ("scipy_openblas_get_num_threads64_", [], ctypes.c_int),
+    "set": ("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)})
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int):
+    """Run the block with numpy's OpenBLAS at ``count`` threads, and give
+    the caller's count back after it; where the thread functions do not
+    resolve, the block runs at the BLAS's own count.  A count set here
+    gives the same bits as the same ``OPENBLAS_NUM_THREADS`` at start."""
+    if _BLAS_THREADS is None:
+        yield
+        return
+    saved = _BLAS_THREADS["get"]()
+    _BLAS_THREADS["set"](count)
+    try:
+        yield
+    finally:
+        _BLAS_THREADS["set"](saved)
 
 
 def _call_lapack(routine: str, **args) -> dict:

@@ -6,8 +6,10 @@ per point.  Each point writes its profile and trace files before it is
 journaled to ``records.jsonl``, so an interrupted sweep can resume from
 the journal; the canonical ``results.csv`` is rewritten sorted at the end,
 so identical config, seed, workers and BLAS threads give the same bytes.
-Initial-state ensembles are seeded and regenerated identically inside each
-worker instead of being shared.
+With ``workers`` above one the points run on that many threads of this
+process: the eigensolve and the BLAS kernels release the GIL, so the
+threads solve at once.  Initial-state ensembles are seeded and drawn per
+point, so a point draws the same ones in every layout.
 
 The point commands of the command line run a one-point config through the
 same per-point pipeline, ``run_point``.
@@ -105,8 +107,9 @@ def _read_entry(path: Path, key: np.ndarray, dim: int, with_vectors: bool):
     return values, vectors
 
 
-# Cache directories this process failed to write an entry to.  Pool workers
-# share no state, so each of them reports an unusable directory once.
+# Cache directories this process failed to write an entry to.  The threads
+# of a pooled run share the set, so a run reports an unusable directory
+# once, or once per thread whose write failed before the first was added.
 _UNWRITABLE_CACHE_DIRS: set[Path] = set()
 
 
@@ -156,7 +159,7 @@ def cached_diagonalize(basis, params, with_vectors, *, cache_dir=None):
 
 def _ensemble(basis: FockBasis, config: SweepConfig, name: str):
     """The seeded initial states of the trace of observable ``name``;
-    identical in every worker for a fixed seed."""
+    the same at every call for a fixed seed."""
     if name == "imbalance":
         return initial_states.maximally_imbalanced_states(
             basis, occupation_cap=config.occupation_cap,
@@ -183,16 +186,6 @@ class PointData:
     hole: dynamics.SurvivalAnalysis | None = None
     # (AnalyticCurveInputs, curve on the survival grid), set by ``quench``
     analytic: tuple | None = None
-
-
-def _point_record(n: int, m: int, u: float, d: float, status: str = "ok",
-                  error: str = "") -> dict:
-    """The ``results.csv`` record of a point before any diagnostic."""
-    return {
-        "n_bosons": n, "n_sites": m, "u": u, "d": d,
-        "d_over_j": d, "u_over_nj": u / n,
-        "status": status, "error": error,
-    }
 
 
 @contextmanager
@@ -224,7 +217,9 @@ def run_point(config: SweepConfig, n: int, m: int, u: float,
         _MALLOPT(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     diags = set(config.diagnostics)
     with_vectors = bool(diags - {"gap_ratio"})
-    record = _point_record(n, m, u, d)
+    # the ``results.csv`` record before any diagnostic
+    record = {"n_bosons": n, "n_sites": m, "u": u, "d": d, "d_over_j": d,
+              "u_over_nj": u / n, "status": "ok", "error": ""}
     point = PointData(record)
     with record_failures(record):
         record["dim"] = dimension(n, m)
@@ -307,10 +302,11 @@ def trace_summary(point: PointData, name: str) -> dict:
     return summary
 
 
-def _write_point_files(config: SweepConfig, out_dir: Path,
-                       point: PointData) -> dict:
-    """Write the point's eigenstate profile and trace files into
-    ``out_dir``, if the config saves them; return its record."""
+def _compute_point(config: SweepConfig, out_dir: Path, n: int, m: int,
+                   u: float, d: float) -> dict:
+    """The (N, M, U, D) record, returned once the point's eigenstate
+    profile and trace files, if the config saves them, are in ``out_dir``."""
+    point = run_point(config, n, m, u, d)
     rec = point.record
     if rec["status"] != "ok":
         return rec
@@ -350,13 +346,6 @@ def _mallopt():
 
 
 _MALLOPT = _mallopt()
-
-
-def _compute_point(config: SweepConfig, out_dir: Path, n: int, m: int,
-                   u: float, d: float) -> dict:
-    """The (N, M, U, D) record, returned once the point's eigenstate
-    profile and trace files, if the config saves them, are in ``out_dir``."""
-    return _write_point_files(config, out_dir, run_point(config, n, m, u, d))
 
 
 # -- journal / results persistence -------------------------------------------
@@ -401,40 +390,25 @@ def _append_journal(out_dir: Path, key: str, record: dict,
         os.fsync(fh.fileno())
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 @contextmanager
-def _worker_pool(workers: int, calls: list):
-    """Run ``(fn, *args)`` calls on a pool of spawned processes; yields the
-    futures in call order.
+def _worker_pool(workers: int):
+    """A pool of ``workers`` threads, shut down when the block ends.
 
-    Each worker gets ``cpu_count // workers`` BLAS threads (at least one),
-    so the pools of all workers together do not oversubscribe the cores.
-    OpenBLAS reads its thread count from the environment when it is
-    loaded, and the eigensolve runs in numpy's, loaded when numpy is
-    imported (scipy's, at the first solve, where numpy has another
-    LAPACK); a spawned worker loads it after it starts.  ``submit`` starts
-    the workers, so the variables are set only while submitting and the
-    parent's environment is restored afterwards.
+    While it runs, numpy's OpenBLAS has ``cpu_count // workers`` threads
+    (at least one), so the solves of all workers together do not
+    oversubscribe the cores; the caller's count is given back afterwards.
+    When the block raises (a Ctrl-C, a failed journal write), every call
+    not yet started is cancelled, and the running ones finish first.
     """
-    # imported here, so that a serial run never loads the process pool
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
+    # imported here, so that a serial run never loads the pool
+    from concurrent.futures import ThreadPoolExecutor
 
-    threads = str(max(1, (os.cpu_count() or 1) // workers))
-    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
-    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+    with spectrum._blas_threads(max(1, (os.cpu_count() or 1) // workers)):
+        pool = ThreadPoolExecutor(workers)
         try:
-            os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, threads))
-            futures = [pool.submit(*call) for call in calls]
+            yield pool
         finally:
-            for var, value in saved.items():
-                if value is None:
-                    os.environ.pop(var, None)
-                else:
-                    os.environ[var] = value
-        yield futures
+            pool.shutdown(cancel_futures=True)
 
 
 def run_cut(config: SweepConfig, out_dir, resume: bool = False) -> list:
@@ -470,23 +444,12 @@ def run_cut(config: SweepConfig, out_dir, resume: bool = False) -> list:
             finish(point, _compute_point(config, out, *point))
     else:
         from concurrent.futures import as_completed
-        from concurrent.futures.process import BrokenProcessPool
 
-        calls = [(_compute_point, config, out, *point) for point in pending]
-        with _worker_pool(config.workers, calls) as submitted:
-            futures = dict(zip(submitted, pending))
+        with _worker_pool(config.workers) as pool:
+            futures = {pool.submit(_compute_point, config, out, *point): point
+                       for point in pending}
             for fut in as_completed(futures):
-                try:
-                    result = fut.result()
-                except BrokenProcessPool as err:
-                    # a dead worker (killed, out of memory) fails every point
-                    # still without a result; unjournaled, --resume redoes it
-                    records.append(_point_record(
-                        *futures[fut], "error",
-                        f"{type(err).__name__}: a sweep worker process "
-                        f"died: {err}"))
-                else:
-                    finish(futures[fut], result)
+                finish(futures[fut], fut.result())
 
     records.sort(key=lambda r: (r["n_bosons"], r["n_sites"], r["u"], r["d"]))
     write_table(out / "results.csv", RESULT_COLUMNS,

@@ -29,12 +29,13 @@ def fresh_python_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
-def run_in_fresh_python(code: str) -> str:
+def run_in_fresh_python(code: str, returncode: int = 0) -> str:
     """Standard output of ``code`` run by a new interpreter, which imports
-    the package from where the tests import it."""
+    the package from where the tests import it, and must exit with
+    ``returncode``."""
     run = subprocess.run([sys.executable, "-c", code], env=fresh_python_env(),
                          capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
+    assert run.returncode == returncode, run.stderr
     return run.stdout
 
 

@@ -1,8 +1,8 @@
 """Guards on the names other code reaches: every exported name and every
 library name the README cites resolves, every function the benchmark's
 tracer wraps exists, only a process that runs an eigensolve loads scipy,
-and a serial run loads neither the process pool nor, unless it draws an
-ensemble, OpenSSL."""
+and no run loads the process pool, nor, unless it draws an ensemble,
+OpenSSL."""
 
 import importlib
 import importlib.util
@@ -154,8 +154,8 @@ def test_package_import_loads_neither_scipy_special_nor_sparse(tmp_path):
 
 
 # Run in a fresh interpreter: which of the process pool and OpenSSL's
-# ``_hashlib`` are loaded after importing the package, after a serial
-# chaos map and after a serial all-diagnostics cut.
+# ``_hashlib`` are loaded after importing the package and after each
+# command line of ``runs``, labelled.
 _POOL_AND_OPENSSL_LOADS = """
 import json
 import sys
@@ -171,17 +171,18 @@ def loaded():
 
 
 seen = {{"import": loaded()}}
-for command, config, out in {runs!r}:
-    assert tiltedbh.cli.main([command, "--config", config, "--out", out]) == 0
-    seen[command] = loaded()
+for label, argv in {runs!r}:
+    assert tiltedbh.cli.main(argv) == 0
+    seen[label] = loaded()
 print(json.dumps(seen))
 """
 
 
 def test_serial_runs_load_neither_the_process_pool_nor_openssl(tmp_path):
-    # a serial sweep never starts a pool, and the config hash is CPython's
-    # own SHA-256; only drawing an ensemble loads OpenSSL, through
-    # numpy.random's import of secrets and hashlib
+    # a pooled sweep runs its points on threads, a serial one starts no
+    # pool, and the config hash is CPython's own SHA-256; only drawing an
+    # ensemble loads OpenSSL, through numpy.random's import of secrets and
+    # hashlib
     sweep = {"system_sizes": [[4, 4]], "u_values": [0.5], "seed": 3,
              "workers": 1}
     configs = {
@@ -192,11 +193,18 @@ def test_serial_runs_load_neither_the_process_pool_nor_openssl(tmp_path):
                 "survival_sample_count": 4, "entropy_sample_count": 3,
                 "save_traces": True, "save_eigenstate_profiles": True},
     }
-    runs = []
+    argv = {}
     for command, raw in configs.items():
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps(raw))
-        runs.append((command, str(path), str(tmp_path / command)))
+        argv[command] = [command, "--config", str(path), "--out",
+                         str(tmp_path / command)]
+    # the pooled map before the cut, which loads OpenSSL
+    runs = [("chaos-map", argv["chaos-map"]),
+            ("chaos-map --workers 2", argv["chaos-map"][:-1]
+             + [str(tmp_path / "pooled"), "--workers", "2"]),
+            ("cut", argv["cut"])]
     loaded = json.loads(run_in_fresh_python(_POOL_AND_OPENSSL_LOADS.format(
         runs=runs)).splitlines()[-1])
-    assert loaded == {"import": [], "chaos-map": [], "cut": ["_hashlib"]}
+    assert loaded == {"import": [], "chaos-map": [],
+                      "chaos-map --workers 2": [], "cut": ["_hashlib"]}

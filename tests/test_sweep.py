@@ -3,6 +3,9 @@ import errno
 import gc
 import json
 import os
+import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -274,6 +277,32 @@ def test_parallel_workers_reproduce_serial_results(tmp_path):
     assert a[1:] == b[1:]  # identical rows; header hash differs with workers
 
 
+def test_pooled_map_with_more_threads_than_cores_matches_the_serial_run(
+        tmp_path):
+    settings = dict(d_values=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
+                              1.0, 1.1, 1.2])
+    serial = run_chaos_map(_config(**settings), tmp_path / "serial")
+    pooled = _config(**settings, workers=2 * (os.cpu_count() or 1) + 1,
+                     cache_dir=str(tmp_path / "cache"))
+    done = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads change hands as often as they can
+    try:
+        runner = threading.Thread(target=lambda: done.append(
+            run_chaos_map(pooled, tmp_path / "pooled")))
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not runner.is_alive()
+    assert done == [serial]
+    journal = (tmp_path / "pooled" / "records.jsonl").read_text()
+    assert sorted(json.loads(line)["record"]["d"]
+                  for line in journal.splitlines()) == settings["d_values"]
+    assert len(list((tmp_path / "cache").glob("eig_*_val.npz"))) == \
+        len(settings["d_values"])
+
+
 def test_pooled_cut_with_every_diagnostic_matches_the_serial_run(tmp_path):
     settings = dict(
         system_sizes=[[4, 4]], d_values=[0.5, 1.0, 2.0],
@@ -325,17 +354,73 @@ def test_cache_entry_key_keeps_its_format():
                             "evd", "True"]
 
 
+@pytest.mark.skipif(spectrum._BLAS_THREADS is None,
+                    reason="numpy's OpenBLAS thread functions do not resolve")
 def test_workers_get_a_share_of_blas_threads_without_touching_parent_env(
         monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "7")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     before = dict(os.environ)
-    calls = [(os.getenv, "OPENBLAS_NUM_THREADS"), (os.getenv, "OMP_NUM_THREADS")]
-    with _worker_pool(2, calls) as futures:
-        seen = [fut.result() for fut in futures]
-    share = str(max(1, os.cpu_count() // 2))
-    assert seen == [share, share]
+    threads = spectrum._BLAS_THREADS
+    original = threads["get"]()
+    share = max(1, os.cpu_count() // 2)
+    threads["set"](share + 1)  # a caller's count that the pool does not use
+    try:
+        with _worker_pool(2) as pool:
+            futures = [pool.submit(threads["get"]) for _ in range(4)]
+            seen = [fut.result() for fut in futures]
+        assert seen == [share] * 4
+        assert threads["get"]() == share + 1
+    finally:
+        threads["set"](original)
     assert dict(os.environ) == before
+
+
+def test_pooled_map_without_the_blas_thread_functions_solves_every_point(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(spectrum, "_BLAS_THREADS", None)
+    records = run_chaos_map(_config(d_values=[0.4, 0.9, 1.7], workers=2),
+                            tmp_path / "map")
+    assert [r["status"] for r in records] == ["ok", "ok", "ok"]
+    assert all(r["mean_r"] > 0 for r in records)
+
+
+def test_a_failed_journal_write_cancels_the_queued_points(tmp_path,
+                                                          monkeypatch):
+    import tiltedbh.sweep as sweep_mod
+
+    real_append, real_solve = sweep_mod._append_journal, spectrum.diagonalize
+    handed, solves, failed = [], [], threading.Event()
+
+    def fail_the_second(out_dir, key, record, config_hash):
+        handed.append(key)
+        if len(handed) == 2:
+            failed.set()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_append(out_dir, key, record, config_hash)
+
+    def gated(h, compute_vectors=True):
+        # the solves after the first two start once the write has failed,
+        # and last long enough for the parent's loop to end first
+        solves.append(h.params.d)
+        if len(solves) > 2:
+            failed.wait(10)
+            time.sleep(0.2)
+        return real_solve(h, compute_vectors)
+
+    monkeypatch.setattr(sweep_mod, "_append_journal", fail_the_second)
+    monkeypatch.setattr(spectrum, "diagonalize", gated)
+    cache = tmp_path / "cache"
+    config = _config(d_values=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
+                               1.0, 1.1, 1.2],
+                     workers=2, cache_dir=str(cache))
+    with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+        run_chaos_map(config, tmp_path / "map")
+    journal = (tmp_path / "map" / "records.jsonl").read_text().splitlines()
+    assert len(journal) == 1
+    # the points handed to the journal and those running when its write
+    # failed; no queued point is computed
+    assert len(list(cache.glob("eig_*.npz"))) <= len(handed) + config.workers
 
 
 def test_value_request_after_a_vector_entry_matches_a_cold_value_solve(
@@ -529,7 +614,8 @@ def test_cache_that_cannot_be_written_fails_no_point(tmp_path, capfd,
     assert [row["status"] for row in rows] == ["ok", "ok"]
     assert all(float(row["mean_r"]) > 0 for row in rows)
     err = capfd.readouterr().err
-    # each process reports the directory once and then stops writing to it
+    # each thread reports the directory at most once, and the first report
+    # stops every later write to it
     assert 1 <= err.count("NotADirectoryError") <= workers
     assert str(blocker / "cache" / "eig_3x3_u0.5_d0.5_val.npz") in err
     assert f"writing no further entries to {blocker / 'cache'}" in err
@@ -557,18 +643,30 @@ def test_full_cache_disk_leaves_no_file_and_the_point_solves(
     assert str(cache / "eig_3x3_u0.5_d0.5_val.npz") in err
 
 
-def _die_at_d_0_9(config, out_dir, n, m, u, d):
-    """A sweep point whose worker process dies at d = 0.9, as if killed."""
-    import tiltedbh.sweep as sweep_mod
+# Run in a fresh interpreter: a pooled map whose process dies at d = 0.9,
+# as if killed.
+_KILLED_RUN = """
+import os
 
+import tiltedbh.sweep as sweep
+from tiltedbh.cli import main
+
+compute = sweep._compute_point
+
+
+def die_at_d_0_9(config, out_dir, n, m, u, d):
     if d == 0.9:
         os._exit(1)
-    return sweep_mod._compute_point(config, out_dir, n, m, u, d)
+    return compute(config, out_dir, n, m, u, d)
 
 
-def test_dead_worker_fails_its_points_and_resume_recomputes_them(
+sweep._compute_point = die_at_d_0_9
+main(["chaos-map", "--config", {config!r}, "--out", {out!r}])
+"""
+
+
+def test_killed_pooled_run_journals_complete_points_and_resume_finishes_it(
         tmp_path, monkeypatch):
-    import tiltedbh.sweep as sweep_mod
     from tiltedbh.cli import main
 
     d_values = [0.3, 0.6, 0.9, 1.2, 1.5, 1.8]
@@ -578,26 +676,22 @@ def test_dead_worker_fails_its_points_and_resume_recomputes_them(
     assert main(["chaos-map", "--config", str(cfg), "--out", str(clean)]) == 0
 
     out = tmp_path / "map"
-    with monkeypatch.context() as patch:
-        patch.setattr(sweep_mod, "_compute_point", _die_at_d_0_9)
-        assert main(["chaos-map", "--config", str(cfg), "--out",
-                     str(out)]) == 2
-    with open(out / "results.csv", newline="") as fh:
-        rows = [dict(zip(RESULT_COLUMNS, row)) for row in csv.reader(fh)
-                if not row[0].startswith("#")][1:]
-    assert [float(row["d"]) for row in rows] == d_values
-    failed = {float(row["d"]) for row in rows if row["status"] == "error"}
-    assert 0.9 in failed
-    assert all("worker process died" in row["error"]
-               for row in rows if row["status"] == "error")
+    run_in_fresh_python(_KILLED_RUN.format(config=str(cfg), out=str(out)),
+                        returncode=1)
+    assert not (out / "results.csv").exists()  # the kill ended the run
     journal = out / "records.jsonl"
-    journaled = [json.loads(line)["record"]["d"]
-                 for line in journal.read_text().splitlines()]
-    assert sorted(journaled) == sorted(set(d_values) - failed)
+    entries = [json.loads(line) for line in journal.read_text().splitlines()
+               ] if journal.exists() else []
+    assert all(e["record"]["status"] == "ok" for e in entries)
+    done = [e["record"]["d"] for e in entries]
+    assert len(set(done)) == len(done)
+    assert set(done) <= set(d_values) - {0.9}
 
+    calls = _counting_compute_point(monkeypatch)
     assert main(["chaos-map", "--config", str(cfg), "--out", str(out),
                  "--resume"]) == 0
-    # each point journaled once: only the failed ones were computed again
+    assert sorted(c[3] for c in calls) == sorted(set(d_values) - set(done))
+    # each point journaled once: only the unjournaled ones were computed
     journaled = [json.loads(line)["record"]["d"]
                  for line in journal.read_text().splitlines()]
     assert sorted(journaled) == d_values
