@@ -19,7 +19,11 @@ _INDEX_MAX = np.iinfo(np.int64).max
 
 
 class DimensionTooLargeError(ValueError, OverflowError):
-    """A size beyond what this code can index or solve densely."""
+    """A size beyond the 64-bit index range or a fixed dense-solve limit.
+
+    Memory the machine refuses is a MemoryError instead; a sweep point ends
+    ``skipped_dimension`` for either.
+    """
 
 
 def dimension(n_bosons: int, n_sites: int) -> int:

@@ -15,8 +15,8 @@ output directory (``--out``).  ``spectrum``, ``eigenstates`` and ``quench``
 run their point (``n_bosons``, ``n_sites``, ``u``, ``d``) as a one-point
 sweep config through the sweep's per-point pipeline and differ only in the
 files they write.  Exit codes: 0 success, 1 config error or an unusable
-``--out`` (checked before any work), 2 partial per-point failures,
-3 resource limit.
+``--out`` (checked before any work) or an output that cannot be written,
+2 partial per-point failures, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -233,6 +233,9 @@ def main(argv=None) -> int:
     except (MemoryError, DimensionTooLargeError) as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return 3
+    except OSError as err:  # such as a disk that fills up mid-run
+        print(f"output error: {err}", file=sys.stderr)
+        return 1
 
 
 def entry_point() -> None:

@@ -215,27 +215,12 @@ def _call_lapack(routine: str, **args) -> dict:
     return out
 
 
-def _workspace(n: int, lwork: int, liwork: int = 0):
-    """LAPACK's real and integer workspaces for dimension ``n``; one that
-    cannot be allocated raises DimensionTooLargeError, a resource limit
-    like the matrix's own."""
-    try:
-        return np.empty(lwork), np.empty(liwork, dtype=np.int64)
-    except MemoryError as err:
-        raise DimensionTooLargeError(
-            f"cannot allocate the {8 * (lwork + liwork)}-byte LAPACK "
-            f"workspace of dimension {n}") from err
-
-
-def _solve_in_place(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric ``a``, read from its lower triangle,
-    which it overwrites: ``dsyevr`` with the arguments and workspace query
-    of ``scipy.linalg.eigh(driver="evr")``, so they are the same bits."""
-    n = a.shape[0]
-    if not (a.dtype == np.float64 and a.shape == (n, n)
-            and a.flags.f_contiguous and a.flags.writeable):
-        raise ValueError("LAPACK needs a writeable, Fortran-ordered float64 "
-                         f"square matrix, got {a.dtype} {a.shape}")
+def _eigvalsh(h: HamiltonianMatrix) -> np.ndarray:
+    """Eigenvalues of H: ``dsyevr`` in H's fresh pages, with the arguments
+    and workspace query of ``scipy.linalg.eigh(driver="evr")``, so they are
+    the same bits."""
+    n = h.dim
+    a = _upper_triangle_in_fresh_pages(h).T  # its lower triangle is H's
     w = np.empty(n)
     # z and isuppz are not referenced without vectors
     args = {"jobz": "N", "range": "A", "uplo": "L", "n": n, "a": a, "lda": n,
@@ -246,9 +231,8 @@ def _solve_in_place(a: np.ndarray) -> np.ndarray:
     _call_lapack("syevr", **args, work=query_work, lwork=-1,
                  iwork=query_iwork, liwork=-1)
     lwork, liwork = int(query_work[0]), int(query_iwork[0])
-    work, iwork = _workspace(n, lwork, liwork)
-    out = _call_lapack("syevr", **args, work=work, lwork=lwork, iwork=iwork,
-                       liwork=liwork)
+    out = _call_lapack("syevr", **args, work=np.empty(lwork), lwork=lwork,
+                       iwork=np.empty(liwork, dtype=np.int64), liwork=liwork)
     if out["m"] != n:
         raise ConvergenceError(
             f"eigensolver failed: dsyevr found {out['m']} of {n} eigenvalues")
@@ -307,9 +291,8 @@ def _eigh_in_steps(h: HamiltonianMatrix):
     _call_lapack("sytrd", uplo="L", n=n, a=a.T, lda=n, d=w, e=e, tau=tau,
                  work=query, lwork=-1)
     lwork_trd = int(query[0])
-    work, _ = _workspace(n, lwork_trd)
     _call_lapack("sytrd", uplo="L", n=n, a=a.T, lda=n, d=w, e=e, tau=tau,
-                 work=work, lwork=lwork_trd)
+                 work=np.empty(lwork_trd), lwork=lwork_trd)
     reflectors = _fresh_pages(n * (n - 1) // 2, "Householder reflectors", n,
                               written_whole=True)
     for j, packed in _below_the_diagonal(n):
@@ -322,7 +305,7 @@ def _eigh_in_steps(h: HamiltonianMatrix):
     z = _fresh_pages(n * n, "eigenvectors", n, written_whole=True)
     z = z.reshape(n, n).T
     work = _fresh_pages(lwork, "dstedc workspace", n, written_whole=True)
-    _, iwork = _workspace(n, 0, 3 + 5 * n)
+    iwork = np.empty(3 + 5 * n, dtype=np.int64)
     _call_lapack("stedc", compz="I", n=n, d=w, e=e, z=z, ldz=n, work=work,
                  lwork=lwork, iwork=iwork, liwork=iwork.size)
     v = work[:n * n].reshape(n, n)  # dormtr's n x n matrix, as v.T
@@ -351,8 +334,8 @@ def _fresh_pages(count: int, name: str, n: int,
     numpy's huge-page workspace with 4 KiB pages, and 7% less with huge
     pages.
 
-    A mapping the system refuses for want of memory raises
-    DimensionTooLargeError: the point is beyond this machine's resources.
+    A mapping the system refuses for want of memory raises MemoryError,
+    as ``np.empty`` does, naming what was to be mapped.
     """
     # MAP_PRIVATE exists on POSIX only; elsewhere the plain anonymous mapping
     flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
@@ -361,7 +344,7 @@ def _fresh_pages(count: int, name: str, n: int,
     except OSError as err:
         if err.errno != errno.ENOMEM:
             raise
-        raise DimensionTooLargeError(
+        raise MemoryError(
             f"cannot map the {8 * count}-byte {name} of dimension {n}: "
             f"{err.strerror}") from err
     if written_whole and hasattr(mmap, "MADV_HUGEPAGE"):
@@ -419,14 +402,13 @@ def diagonalize(h: HamiltonianMatrix,
     check_dense_limit(h.dim, compute_vectors)
     if _LAPACK is not None and compute_vectors:
         return SpectralData(h.basis, h.params, *_eigh_in_steps(h))
-    dense = _upper_triangle_in_fresh_pages(h).T
     if _LAPACK is not None:
-        return SpectralData(h.basis, h.params, _solve_in_place(dense))
+        return SpectralData(h.basis, h.params, _eigvalsh(h))
     import scipy.linalg
     try:
         solved = scipy.linalg.eigh(
-            dense, lower=True, overwrite_a=True, check_finite=False,
-            eigvals_only=not compute_vectors,
+            _upper_triangle_in_fresh_pages(h).T, lower=True, overwrite_a=True,
+            check_finite=False, eigvals_only=not compute_vectors,
             driver=EIGH_DRIVER[compute_vectors]
         )
     except scipy.linalg.LinAlgError as err:

@@ -191,12 +191,14 @@ class PointData:
 @contextmanager
 def record_failures(record: dict):
     """Turn an exception inside the block into the point's ``status`` and
-    ``error``, keeping the fields set before it."""
+    ``error``, keeping the fields set before it.  A size over a fixed limit
+    and an allocation the machine refuses are the one resource limit,
+    ``skipped_dimension``; anything else is ``error``."""
     try:
         yield
-    except DimensionTooLargeError as err:
+    except (DimensionTooLargeError, MemoryError) as err:
         record["status"] = "skipped_dimension"
-        record["error"] = str(err)
+        record["error"] = str(err) or type(err).__name__
     except Exception as err:  # per-point failures never abort the sweep
         record["status"] = "error"
         record["error"] = f"{type(err).__name__}: {err}"

@@ -2,6 +2,7 @@ import errno
 import filecmp
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -260,8 +261,7 @@ def test_solve_the_system_cannot_allocate_is_a_resource_limit(
         message = "cannot map the 800-byte dense matrix of dimension 10"
     elif starved == "workspace":  # 2^61 bytes, which no allocator grants
         fake_lapack(monkeypatch, "syevr", lwork=2 ** 58)
-        message = (f"cannot allocate the {2 ** 61 + 8}-byte LAPACK "
-                   "workspace of dimension 10")
+        message = "Unable to allocate 2.00 EiB"  # numpy's MemoryError
     else:  # the mappings before it are granted
         command, real_mmap, calls = "eigenstates", mmap.mmap, []
 
@@ -280,6 +280,103 @@ def test_solve_the_system_cannot_allocate_is_a_resource_limit(
     err = capsys.readouterr().err
     assert ": skipped_dimension (" in err and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("command, starved", [
+    ("cut", "observable_trace"), ("chaos-map", "diagonalize")])
+def test_memory_error_anywhere_in_a_sweep_point_skips_it(
+        tmp_path, capsys, monkeypatch, command, starved, workers):
+    from tiltedbh import dynamics, spectrum
+
+    module = dynamics if starved == "observable_trace" else spectrum
+    real = getattr(module, starved)
+
+    def no_memory_at_d2(*args):
+        # the trace's spectral data, or the solve's Hamiltonian
+        if args[1 if starved == "observable_trace" else 0].params.d == 2.0:
+            raise MemoryError("Unable to allocate 16.0 MiB")
+        return real(*args)
+
+    monkeypatch.setattr(module, starved, no_memory_at_d2)
+    cfg = _write(tmp_path / "c.json", {
+        **_SWEEP, "d_values": [0.5, 2.0],
+        "diagnostics": (["entropy_dynamics"] if command == "cut"
+                        else ["gap_ratio"]),
+        "entropy_sample_count": 3, "time_points_observables": 20})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--workers", str(workers)]) == 3
+    assert capsys.readouterr().err == ("point N=3 M=3 u=0.5 d=2.0: "
+                                       "skipped_dimension (Unable to "
+                                       "allocate 16.0 MiB)\n")
+    journal = {entry["record"]["d"]: entry["record"] for entry in
+               map(json.loads, (out / "records.jsonl").read_text()
+                   .splitlines())}
+    assert {d: rec["status"] for d, rec in journal.items()} == \
+        {0.5: "ok", 2.0: "skipped_dimension"}
+    assert journal[2.0]["error"] == "Unable to allocate 16.0 MiB"
+    rows = [line.split(",") for line in
+            (out / "results.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    status = rows[0].index("status")
+    assert [row[status] for row in rows[1:]] == ["ok", "skipped_dimension"]
+
+
+@pytest.mark.parametrize("starved, error, message", [
+    ("observable_trace", MemoryError("Unable to allocate 16.0 MiB"),
+     "Unable to allocate 16.0 MiB"),
+    # the analytic curve's, after the traces; a bare MemoryError names itself
+    ("estimate_curve_inputs", MemoryError(), "MemoryError"),
+], ids=["trace", "analytic_curve"])
+def test_memory_error_in_a_quench_is_a_resource_limit(
+        tmp_path, capsys, monkeypatch, starved, error, message):
+    def no_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(f"tiltedbh.dynamics.{starved}", no_memory)
+    cfg = _write(tmp_path / "c.json", {
+        "n_bosons": 3, "n_sites": 3, "u": 0.5, "d": 0.5,
+        "survival_sample_count": 3, "entropy_sample_count": 3,
+        "time_points": 20, "time_points_observables": 20,
+        "hole_window": [1.0, 50.0]})
+    out = tmp_path / "o"
+    assert main(["quench", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        f"point N=3 M=3 u=0.5 d=0.5: skipped_dimension ({message})\n"
+    assert not out.exists()
+
+
+def test_full_disk_mid_run_exits_one_and_resume_finishes_it(
+        tmp_path, capsys, monkeypatch):
+    import tiltedbh.sweep as sweep_mod
+
+    real_append, handed = sweep_mod._append_journal, []
+
+    def full_on_the_second(out_dir, key, record, config_hash):
+        handed.append(key)
+        if len(handed) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_append(out_dir, key, record, config_hash)
+
+    monkeypatch.setattr(sweep_mod, "_append_journal", full_on_the_second)
+    cfg = _write(tmp_path / "c.json", {**_SWEEP, "d_values": [0.5, 1.0, 1.5]})
+    out = tmp_path / "map"
+    assert main(["chaos-map", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"output error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    journal = [json.loads(line) for line in
+               (out / "records.jsonl").read_text().splitlines()]
+    assert [entry["key"] for entry in journal] == handed[:1]
+    assert journal[0]["record"]["status"] == "ok"
+    assert not (out / "results.csv").exists()
+
+    monkeypatch.setattr(sweep_mod, "_append_journal", real_append)
+    assert main(["chaos-map", "--config", cfg, "--out", str(out),
+                 "--resume"]) == 0
+    rows = [line for line in (out / "results.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert len(rows) == 4 and all(",ok," in row for row in rows[1:])
 
 
 def test_partial_failure_exit_two(tmp_path, monkeypatch):
@@ -515,6 +612,13 @@ def test_module_and_entry_point_exit_codes(tmp_path):
         assert failed.stderr == \
             "config error: j: unknown configuration field\n"
         assert not (tmp_path / out).exists()
+        # refused before its basis of 5 200 300 states is built
+        limited = run(launcher, "spectrum", {"n_bosons": 13, "n_sites": 13,
+                                             "u": 0.5, "d": 0.5}, f"{out}_13")
+        assert limited.returncode == 3, limited.stderr
+        assert ": skipped_dimension (dimension 5200300 exceeds the dense " \
+            "limit 100000" in limited.stderr
+        assert not (tmp_path / f"{out}_13").exists()
 
 
 @pytest.mark.parametrize("command, flags", [

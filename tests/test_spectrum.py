@@ -160,17 +160,6 @@ def test_lapack_status_is_an_error(monkeypatch, routine, outputs, error,
         diagonalize(h, routine != "syevr")
 
 
-def test_lapack_needs_a_writeable_fortran_matrix():
-    for a in (np.zeros((3, 3)), np.zeros((3, 3), order="F")[:, :2],
-              np.zeros((3, 3), dtype=np.float32, order="F")):
-        with pytest.raises(ValueError, match="Fortran-ordered float64"):
-            spectrum._solve_in_place(a)
-    a = np.zeros((3, 3), order="F")
-    a.flags.writeable = False
-    with pytest.raises(ValueError, match="writeable"):
-        spectrum._solve_in_place(a)
-
-
 @pytest.mark.parametrize("with_vectors", [False, True])
 def test_eigensolve_works_in_the_hamiltonian_buffer(with_vectors):
     # the dense matrix, and with vectors the reflectors, the eigenvectors

@@ -615,9 +615,12 @@ def test_cache_that_cannot_be_written_fails_no_point(tmp_path, capfd,
     assert all(float(row["mean_r"]) > 0 for row in rows)
     err = capfd.readouterr().err
     # each thread reports the directory at most once, and the first report
-    # stops every later write to it
+    # stops every later write to it; with two threads either point's write
+    # can fail first
     assert 1 <= err.count("NotADirectoryError") <= workers
-    assert str(blocker / "cache" / "eig_3x3_u0.5_d0.5_val.npz") in err
+    entries = [str(blocker / "cache" / f"eig_3x3_u0.5_d{d}_val.npz")
+               for d in (["0.5"] if workers == 1 else ["0.5", "2"])]
+    assert any(entry in err for entry in entries)
     assert f"writing no further entries to {blocker / 'cache'}" in err
 
 
