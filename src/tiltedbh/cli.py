@@ -231,7 +231,9 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except (MemoryError, DimensionTooLargeError) as err:
-        print(f"resource limit: {err}", file=sys.stderr)
+        # a bare MemoryError() has no message; it names itself
+        print(f"resource limit: {str(err) or type(err).__name__}",
+              file=sys.stderr)
         return 3
     except OSError as err:  # such as a disk that fills up mid-run
         print(f"output error: {err}", file=sys.stderr)

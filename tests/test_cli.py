@@ -241,6 +241,22 @@ def test_memory_error_is_a_resource_limit(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_bare_memory_error_names_itself_as_a_resource_limit(
+        tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("tiltedbh.dynamics.log_time_grid", no_memory)
+    cfg = _write(tmp_path / "c.json", {
+        "system_sizes": [[3, 3]], "u_values": [0.5], "d_values": [0.5],
+        "diagnostics": ["survival"],
+    })
+    out = tmp_path / "o"
+    assert main(["cut", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "resource limit: MemoryError\n"
+    assert not out.exists()
+
+
 # the fresh mappings of a solve with eigenvectors, in the order it maps them
 _VECTOR_MAPPINGS = ["dense matrix", "Householder reflectors", "eigenvectors",
                     "dstedc workspace", "dormtr workspace"]

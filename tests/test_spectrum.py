@@ -1,3 +1,4 @@
+import mmap
 import tracemalloc
 from pathlib import Path
 
@@ -77,7 +78,9 @@ def test_eigensolve_is_bit_identical_to_plain_eigh():
 # vectors: dimensions 1 and 2; 10 and 21, on either side of the n = 14 below
 # which dsytrd's workspace sizes dsyevd's; 56, 462 and 1716, above the 25 up
 # to which dstedc hands the whole problem to dsteqr; and H scaled so far
-# that dsyevd scales it back.
+# that dsyevd scales it back.  Both ways, dense random matrices on either
+# side of the dimensions 511 and 1023, at which the matrix's leading
+# dimension is n and above which it is padded to the next page boundary.
 _SAME_BITS_AS_SCIPY = """
 import sys
 import numpy as np
@@ -87,6 +90,13 @@ from tiltedbh.hamiltonian import HamiltonianMatrix
 def scaled(h, factor):
     return HamiltonianMatrix(h.basis, h.params, h.diagonal * factor, h.rows,
                              h.cols, h.values * factor)
+
+def random_symmetric(n):
+    rng = np.random.default_rng(n)
+    rows, cols = np.triu_indices(n, 1)
+    return HamiltonianMatrix(FockBasis(n - 1, 2), ModelParams(u=0.0, d=0.0),
+                             rng.standard_normal(n), rows, cols,
+                             rng.standard_normal(rows.size))
 
 h77 = build(FockBasis(7, 7), ModelParams(u=0.5, d=0.8))
 solves = [(h77, False), (h77, True),
@@ -99,6 +109,8 @@ solves += [(scaled(small, factor), True) for factor in (1e-150, 1e150)]
 # one would move its eigenvalue
 one = build(FockBasis(3, 1), ModelParams(u=0.7, d=0.4))
 solves.append((scaled(one, 3e-160), True))
+solves += [(random_symmetric(n), vectors) for n in (511, 512, 513, 1023, 1025)
+           for vectors in (False, True)]
 results = [diagonalize(h, vectors) for h, vectors in solves]
 print("resolved" if spectrum._LAPACK else "fallback",
       "scipy" in sys.modules)
@@ -210,6 +222,54 @@ def test_eigensolve_with_vectors_holds_two_and_a_half_matrices():
     # its steps hold the reflectors, the vectors and dstedc's workspace
     growth = float(run_in_fresh_python(_RESIDENT_GROWTH.format(vectors=True)))
     assert growth < 3.0
+
+
+# Run in a fresh interpreter: the Rss that /proc/self/smaps reads for the
+# mapping that holds the value-only solve's matrix, right after dsyevr, in
+# KiB, and the KiB of that mapping outside the matrix (nonzero only where
+# the kernel merged the matrix's mapping with a neighbour)
+_MATRIX_RESIDENT = """
+import mmap
+from tiltedbh import FockBasis, ModelParams, build, diagonalize, spectrum
+
+call_lapack, resident = spectrum._call_lapack, []
+
+def rss_kib(start, size):
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            field = line.split()
+            if "-" in field[0]:
+                lo, hi = (int(end, 16) for end in field[0].split("-"))
+            elif field[0] == "Rss:" and lo <= start < hi:
+                size = -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
+                return int(field[1]), (hi - lo - size) // 1024
+
+def recording(routine, **args):
+    out = call_lapack(routine, **args)
+    if routine == "syevr" and args["lwork"] != -1:
+        resident.append(rss_kib(args["a"].ctypes.data, args["a"].nbytes))
+    return out
+
+spectrum._call_lapack = recording
+diagonalize(build(FockBasis(7, 7), ModelParams(u=0.5, d=0.5)),
+            compute_vectors=False)
+print(*resident[0])
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/smaps").exists()
+                    or spectrum._LAPACK is None,
+                    reason="reads the Rss of dsyevr's matrix in "
+                           "/proc/self/smaps")
+def test_value_only_matrix_pages_hold_only_the_read_triangle():
+    # every column of the matrix LAPACK reads starts on a page boundary,
+    # so only its last page is part-used: 3792 pages (14.8 MiB) at 7x7,
+    # where a leading dimension of n makes 16.9 MiB resident
+    n, per_page = 1716, mmap.PAGESIZE // 8
+    pages = sum(-(-(n - j) // per_page) for j in range(n))
+    rss, outside = map(int, run_in_fresh_python(_MATRIX_RESIDENT).split())
+    assert 8 * n * (n + 1) // 2 / 1024 < rss
+    assert rss <= pages * mmap.PAGESIZE // 1024 + outside
 
 
 def test_dimension_limits(monkeypatch):
