@@ -2,8 +2,8 @@
 
 The canonical order is lexicographically *decreasing* occupation vectors,
 so ``(N, 0, ..., 0)`` has index 0 and ``(0, ..., 0, N)`` has index
-``dim - 1``.  With this order the rank of a state is a closed-form sum of
-binomial coefficients, evaluated in O(M) from a precomputed table, which
+``dim - 1``.  With this order the rank of a state is a sum of sector sizes
+(states of k bosons on s sites), read in O(M) from one table, which
 keeps Hamiltonian assembly linear in the number of stored matrix elements.
 """
 
@@ -49,20 +49,20 @@ def dimension(n_bosons: int, n_sites: int) -> int:
 class FockBasis:
     """Canonical basis of N-boson occupation vectors on M sites.
 
-    Ranking and unranking work from binomial tables alone; the full state
-    table is only materialized on first access to :attr:`states`.
+    Ranking and unranking work from a table of sector sizes alone; the full
+    state table is only materialized on first access to :attr:`states`.
     """
 
     def __init__(self, n_bosons: int, n_sites: int):
         self.n_bosons = int(n_bosons)
         self.n_sites = int(n_sites)
         self.dim = dimension(self.n_bosons, self.n_sites)
-        # binom[a, b] = C(a, b), zero for b > a; largest needed a is N+M-1
-        a_max = self.n_bosons + self.n_sites
-        self._binom = np.zeros((a_max + 1, self.n_sites + 1), dtype=np.int64)
-        for a in range(a_max + 1):
-            for b in range(min(a, self.n_sites) + 1):
-                self._binom[a, b] = math.comb(a, b)
+        # sizes[k, s] = states of k bosons on s sites, at most dim, summed
+        # over the first site's occupation; the zero last row is k = -1
+        self._sizes = np.zeros((self.n_bosons + 2, self.n_sites + 1), np.int64)
+        self._sizes[0, 0] = 1
+        for s in range(1, self.n_sites + 1):
+            np.cumsum(self._sizes[:-1, s - 1], out=self._sizes[:-1, s])
         self._states: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -120,11 +120,19 @@ class FockBasis:
         rank = np.zeros(occ.shape[0], dtype=np.int64)
         rem = np.full(occ.shape[0], self.n_bosons, dtype=np.int64)
         for i in range(m - 1):
-            rest = m - i - 1
             # number of states with a larger occupation at site i
-            rank += self._binom[rem - occ[:, i] - 1 + rest, rest]
+            rank += self._sizes[rem - occ[:, i] - 1, m - i]
             rem -= occ[:, i]
         return rank
+
+    def _hops(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(src, dst) of every hop of a boson from site i to i + 1: only
+        site i's rank term changes, by the states of the bosons right of i
+        on the M - i - 1 sites after it, so dst > src."""
+        states = self.states
+        src = np.nonzero(states[:, i])[0]
+        right = states[src, i + 1:].sum(axis=1)
+        return src, src + self._sizes[right, self.n_sites - i - 1]
 
     def unrank(self, index: int) -> np.ndarray:
         """Occupation vector at a canonical index (inverse of :meth:`rank`)."""
@@ -135,16 +143,11 @@ class FockBasis:
         occ = np.zeros(m, dtype=np.int32)
         rem = self.n_bosons
         for i in range(m - 1):
-            rest = m - i - 1
-            k = rem
-            while True:
-                # block of states with occupation k at site i
-                block = self._binom[rem - k + rest - 1, rest - 1]
-                if idx < block:
-                    break
-                idx -= block
-                k -= 1
-            occ[i] = k
-            rem -= k
+            # sizes[j - 1, m - i] states have fewer than j bosons right of i
+            j = int(np.searchsorted(self._sizes[:rem + 1, m - i], idx,
+                                    side="right"))
+            idx -= int(self._sizes[j - 1, m - i])
+            occ[i] = rem - j
+            rem = j
         occ[m - 1] = rem
         return occ

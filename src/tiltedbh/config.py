@@ -158,7 +158,7 @@ class SweepConfig:
     u_values: list = _setting([], _each(_real, *_NON_NEGATIVE), required=True)
     d_values: list = _setting([], _each(_real, *_NON_NEGATIVE), required=True)
     diagnostics: list = _setting(
-        [], _each(str, ALLOWED_DIAGNOSTICS.__contains__,
+        [], _each(_string, ALLOWED_DIAGNOSTICS.__contains__,
                   f"not one of {ALLOWED_DIAGNOSTICS}"), required=True)
     seed: int = _setting(0, _integer, *_NON_NEGATIVE)
     workers: int = _setting(1, _integer, *_AT_LEAST_ONE)
@@ -281,7 +281,7 @@ _COMMAND_KEYS = {
     "eigenstates": {},
     "quench": {
         "observables": (list(OBSERVABLES),
-                        _each(str, OBSERVABLES.__contains__,
+                        _each(_string, OBSERVABLES.__contains__,
                               f"not one of {tuple(OBSERVABLES)}"),
                         bool, "must be non-empty"),
         "include_analytic": (True, _flag),

@@ -106,23 +106,14 @@ def build(basis: FockBasis, params: ModelParams) -> HamiltonianMatrix:
     sqrt argument is formed in integers before the single float sqrt.
     """
     states = basis.states
-    m = basis.n_sites
     diag = diagonal_energies(states, params)
 
     rows_parts = [np.empty(0, dtype=np.int64)]
     cols_parts = [np.empty(0, dtype=np.int64)]
     vals_parts = [np.empty(0, dtype=np.float64)]
-    for i in range(m - 1):
-        movable = states[:, i] > 0
-        src = np.nonzero(movable)[0]
-        moved = states[movable].astype(np.int64)
-        weight = moved[:, i] * (moved[:, i + 1] + 1)
-        moved[:, i] -= 1
-        moved[:, i + 1] += 1
-        dst = basis.ranks(moved)
-        # moving a boson rightward lowers the vector lexicographically,
-        # hence dst > src and the stored triangle is strictly upper
-        assert (dst > src).all()
+    for i in range(basis.n_sites - 1):
+        src, dst = basis._hops(i)
+        weight = states[src, i].astype(np.int64) * (states[src, i + 1] + 1)
         rows_parts.append(src)
         cols_parts.append(dst)
         vals_parts.append(-np.sqrt(weight.astype(np.float64)))

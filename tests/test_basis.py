@@ -89,7 +89,8 @@ def test_rank_unrank_examples():
     assert basis.unrank(2).tolist() == [0, 2]
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (1, 5), (5, 1), (4, 6), (8, 8)])
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (1, 5), (5, 1), (4, 6), (8, 8),
+                                 (1, 80), (2, 40)])
 def test_rank_unrank_bijective_exhaustive(n, m):
     basis = FockBasis(n, m)
     for i in range(basis.dim):

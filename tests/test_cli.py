@@ -45,6 +45,25 @@ def test_basis_command(tmp_path):
     assert len(rows) == 11
 
 
+def test_one_boson_on_eighty_sites_builds_and_solves(tmp_path):
+    # dimension 80, though C(N + M, M) exceeds the 64-bit range
+    basis_cfg = _write(tmp_path / "b.json",
+                       {"n_bosons": 1, "n_sites": 80, "write_states": True})
+    point_cfg = _write(tmp_path / "s.json",
+                       {"n_bosons": 1, "n_sites": 80, "u": 0.5, "d": 0.5})
+    out = tmp_path / "out"
+    assert main(["basis", "--config", basis_cfg, "--out", str(out / "b")]) == 0
+    rows = [l for l in (out / "b" / "basis_states.csv").read_text().splitlines()
+            if not l.startswith("#")]
+    assert len(rows) == 81
+    assert rows[80] == "79," + ",".join(["0"] * 79 + ["1"])
+    assert main(["spectrum", "--config", point_cfg, "--out", str(out / "s")]) == 0
+    rows = [l for l in (out / "s" / "spectrum.csv").read_text().splitlines()
+            if not l.startswith("#")]
+    assert len(rows) == 81
+    assert (out / "s" / "gap_statistics.json").exists()
+
+
 def test_spectrum_command_with_matrix_export(tmp_path):
     cfg = _write(tmp_path / "c.json", {
         "n_bosons": 3, "n_sites": 3, "u": 0.5, "d": 0.5, "export_matrix": True,

@@ -58,7 +58,8 @@ def test_diagonal_energies_vectorized_matches_scalar():
         assert batch[i] == pytest.approx(diagonal_energy(basis.states[i], params))
 
 
-@pytest.mark.parametrize("n,m", [(3, 3), (2, 4), (4, 3)])
+@pytest.mark.parametrize("n,m", [(3, 3), (2, 4), (4, 3), (1, 1), (1, 12),
+                                 (2, 12), (5, 2)])
 def test_dense_matches_brute_force_operator_build(n, m):
     basis = FockBasis(n, m)
     params = ModelParams(u=0.8, d=0.6)

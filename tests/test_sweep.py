@@ -56,6 +56,9 @@ def test_validation_errors_carry_field_paths():
         _config(u_values=[0.5, -1.0])
     with pytest.raises(ConfigError, match="diagnostics"):
         _config(diagnostics=["spin"])
+    # a list entry is not coerced to a string
+    with pytest.raises(ConfigError, match="diagnostics: expected a string, got 1"):
+        _config(diagnostics=[1])
     with pytest.raises(ConfigError, match="diagnostics"):
         _config(diagnostics=[])
     with pytest.raises(ConfigError, match="system_sizes"):
